@@ -106,13 +106,23 @@ def word_from_str(text: str, alphabet_size: int) -> Word:
     if not text:
         return ()
     if any(ch.isdigit() for ch in text):
-        letters = tuple(int(tok) for tok in text.split())
-    else:
+        letters = _ints(text.split(), "word")
+    elif set(text) <= set(LETTER_CHARS):
         letters = tuple(LETTER_CHARS.index(ch) for ch in text)
+    else:
+        raise InvalidInputError(f"word {text!r}: letters must be a..z")
     for x in letters:
         if not 0 <= x < alphabet_size:
             raise InvalidInputError(f"letter {x} out of range")
     return letters
+
+
+def _ints(tokens: Sequence[str], what: str) -> tuple[int, ...]:
+    """Parse integer tokens of an input field, else InvalidInputError."""
+    try:
+        return tuple(int(tok) for tok in tokens)
+    except ValueError:
+        raise InvalidInputError(f"{what}: expected integers, got {' '.join(tokens)!r}") from None
 
 
 def _content_lines(text: str) -> list[str]:
@@ -132,12 +142,12 @@ def parse_dfa(text: str) -> Dfa:
     head = lines[0].split()
     if len(head) != 3:
         raise InvalidInputError("malformed dfa header")
-    t, k = int(head[1]), int(head[2])
+    t, k = _ints(head[1:], "dfa header")
     if len(lines) != 1 + t:
         raise InvalidInputError(f"expected {t} transition rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        row = tuple(int(tok) for tok in line.split())
+        row = _ints(line.split(), "dfa row")
         if len(row) != k:
             raise InvalidInputError("row width must equal alphabet_size")
         rows.append(row)

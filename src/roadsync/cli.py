@@ -76,8 +76,19 @@ class _Output:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path} is not UTF-8 text") from None
+
+
+def _needed(args, attr: str, flag: str) -> str:
+    """The path an action cannot run without; argparse leaves it optional."""
+    value = getattr(args, attr)
+    if value is None:
+        raise InvalidInputError(f"{args.command} {args.action} needs {flag}")
+    return value
 
 
 def _write(path: str, text: str) -> None:
@@ -142,7 +153,7 @@ def _cmd_gen(args, out: _Output) -> int:
         out.answer("OK")
         return 0
     if args.action == "compose":
-        raw, t = parse_batch(_read(args.batch))
+        raw, t = parse_batch(_read(_needed(args, "batch", "--batch")))
         result = compose_or_decide(raw, t)
         if isinstance(result, bool):
             out.answer(result)
@@ -156,7 +167,7 @@ def _cmd_gen(args, out: _Output) -> int:
             _write(args.names, json.dumps(compose_names_json(result), indent=2))
         out.answer(result.dfa.t)
         return 0
-    f = satreduce.parse_dimacs(_read(args.infile))
+    f = satreduce.parse_dimacs(_read(_needed(args, "infile", "--in")))
     rg = satreduce.build_reduction(satreduce.augment_tautologies(f))
     text = write_graph(rg.graph)
     if args.outfile:
@@ -171,7 +182,7 @@ def _cmd_gen(args, out: _Output) -> int:
 
 def _cmd_verify(args, out: _Output) -> int:
     if args.action == "compose":
-        raw, t = parse_batch(_read(args.batch))
+        raw, t = parse_batch(_read(_needed(args, "batch", "--batch")))
         pre = preprocess(raw, t)
         if pre.answer is not None:
             out.answer(pre.answer)
@@ -188,7 +199,7 @@ def _cmd_verify(args, out: _Output) -> int:
             "assembled_count": report.assembled_count,
         })
         return 0
-    f = satreduce.parse_dimacs(_read(args.infile))
+    f = satreduce.parse_dimacs(_read(_needed(args, "infile", "--in")))
     report = satreduce.verify_reduction(f, state_cap=args.state_cap)
     out.answer(report.ok)
     out.report({
@@ -283,7 +294,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out.emit()

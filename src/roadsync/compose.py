@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .automata import Dfa, apply_word
+from .automata import Dfa, _ints, apply_word
 from .errors import InvalidInputError, SizeLimitError
 from .syncsolve import is_synchronizing, pin_bound, shortest_reset_word, syn_decide
 
@@ -451,7 +451,7 @@ def parse_batch(text: str) -> tuple[list[tuple[Dfa, int]], int]:
     head = lines[0].split()
     if len(head) != 3:
         raise InvalidInputError("malformed batch header")
-    m, t = int(head[1]), int(head[2])
+    m, t = _ints(head[1:], "batch header")
     raw: list[tuple[Dfa, int]] = []
     pos = 1
     for _ in range(m):
@@ -460,10 +460,10 @@ def parse_batch(text: str) -> tuple[list[tuple[Dfa, int]], int]:
         parts = lines[pos].split()
         if len(parts) != 3:
             raise InvalidInputError("malformed item header")
-        d, k = int(parts[1]), int(parts[2])
+        d, k = _ints(parts[1:], "item header")
         rows = []
         for row_line in lines[pos + 1: pos + 1 + t]:
-            row = tuple(int(tok) for tok in row_line.split())
+            row = _ints(row_line.split(), "item row")
             if len(row) != k:
                 raise InvalidInputError("item row width must equal its alphabet size")
             rows.append(row)

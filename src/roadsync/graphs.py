@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
-from .automata import Dfa, LETTER_CHARS
+from .automata import Dfa, LETTER_CHARS, _ints
 from .errors import InvalidInputError
 
 
@@ -259,12 +259,12 @@ def parse_graph(text: str) -> Multigraph:
     head = lines[0].split()
     if len(head) != 3:
         raise InvalidInputError("malformed graph header")
-    t, d = int(head[1]), int(head[2])
+    t, d = _ints(head[1:], "graph header")
     if len(lines) != 1 + t:
         raise InvalidInputError(f"expected {t} rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        row = tuple(int(tok) for tok in line.split())
+        row = _ints(line.split(), "graph row")
         if len(row) != d:
             raise InvalidInputError("row width must equal out-degree")
         rows.append(row)

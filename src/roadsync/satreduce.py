@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .automata import apply_word
+from .automata import _ints, apply_word
 from .errors import InvalidInputError, SizeLimitError
 from .graphs import (
     Coloring,
@@ -88,11 +88,11 @@ def parse_dimacs(text: str) -> Cnf3:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise InvalidInputError("malformed DIMACS header")
-            n, expected = int(parts[2]), int(parts[3])
+            n, expected = _ints(parts[2:], "DIMACS header")
             continue
         if n is None:
             raise InvalidInputError("clause before DIMACS header")
-        nums = [int(tok) for tok in line.split()]
+        nums = _ints(line.split(), "clause")
         if len(nums) != 4 or nums[3] != 0:
             raise InvalidInputError("each clause line needs 3 literals and a terminating 0")
         clause = tuple((abs(v), v < 0) for v in nums[:3])

@@ -3,7 +3,14 @@
 srcp_oracle is the ground truth everything else is validated against: it walks
 every coloring in enumeration order and asks for a reset word of length <= k.
 A numpy sweep accelerates the out-degree-2 case without changing the sequential
-first-witness semantics.
+first-witness semantics.  It rests on two facts:
+
+- Color-swap symmetry.  With out-degree 2, flipping every digit of a coloring
+  index swaps the letters a and b, so colorings i and 2^t - 1 - i have the same
+  reset lengths; only the 2^(t-1) colorings of the lower half are evaluated.
+- Padding.  A singleton image stays a singleton, so a reset word of length
+  <= k extends to one of length exactly k; only the 2^k words of length k are
+  tested, walked depth-first with one image per depth.
 """
 
 from __future__ import annotations
@@ -33,47 +40,76 @@ from .syncsolve import pin_bound, shortest_reset_word
 ORACLE_COLORING_CAP = 1 << 26
 # Pattern-based decision enumerates t^t letter-target maps.
 PATTERN_STATE_CAP = 4
-_SWEEP_CHUNK = 1 << 16
-# The vectorized sweep evolves one image per word, so 2^(k+1) arrays; the
+_SWEEP_CHUNK = 1 << 13
+# The vectorized sweep walks the 2^k words of length k depth-first, one image
+# array per depth (O(k * chunk) memory) and 2^(k+1) - 2 steps per chunk; the
 # per-coloring BFS path takes over beyond this depth.
 _SWEEP_WORD_DEPTH_CAP = 8
+# Vertices per lookup table: 4 coloring digits and 4 active bits index 256 rows.
+_GROUP = 4
+
+
+def _step_tables(e0: np.ndarray, e1: np.ndarray, t: int) -> np.ndarray:
+    """Flat int64 lookup tables for one letter-a step, 256 rows per vertex group.
+
+    Inside the kernel vertex v is bit t-1-v of an image, the same bit that
+    holds its digit in a coloring index, so group g covers bits 4g..4g+3 of
+    both.  Row g*256 + (D << 4 | A) is the image of the active vertices A
+    under letter a when their digits are D.  Letter a takes slot 0 where the
+    digit is 0, so letter b is the same lookup with D complemented.
+    """
+    groups = -(-t // _GROUP)
+    rows = np.arange(256, dtype=np.int64)
+    digit_nibble, active_nibble = rows >> 4, rows & 15
+    tables = np.zeros((groups, 256), dtype=np.int64)
+    for bit in range(t):  # padding bits of the last group are never active
+        v = t - 1 - bit
+        g, j = divmod(bit, _GROUP)
+        tgt = np.where((digit_nibble >> j) & 1, int(e1[v]), int(e0[v]))
+        image = np.left_shift(1, t - 1 - tgt)
+        tables[g] |= np.where((active_nibble >> j) & 1, image, 0)
+    return tables.ravel()
 
 
 def _sync_mask_chunk(e0: np.ndarray, e1: np.ndarray, t: int, k: int,
-                     idx: np.ndarray) -> np.ndarray:
+                     idx: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Boolean array: which coloring indices admit a reset word of length <= k.
 
-    Colorings are packed into idx with vertex 0 as the most significant bit;
-    bit 0 means slot 0 carries letter a.  Images of the full state set are
-    evolved for every word of length <= k in parallel across the chunk.
+    Colorings are packed into idx (int64) with vertex 0 as the most
+    significant bit; bit 0 means slot 0 carries letter a.  The words of length exactly k are
+    walked depth-first with one image array per depth, and only the leaves are
+    tested: a reset word shorter than k pads to length k, because a singleton
+    image stays a singleton.  The step reads only tables, which the caller
+    builds once per sweep as _step_tables(e0, e1, t).
     """
-    digits = [(idx >> (t - 1 - v)) & 1 for v in range(t)]
-    full = np.full(idx.shape, (1 << t) - 1, dtype=np.uint64)
-    ok = np.zeros(idx.shape, dtype=bool)
-    one = np.uint64(1)
-
-    def step(active: np.ndarray, letter: int) -> np.ndarray:
-        new = np.zeros_like(active)
-        for v in range(t):
-            m = (active >> np.uint64(v)) & one
-            if letter == 0:
-                tgt = np.where(digits[v] == 0, e0[v], e1[v]).astype(np.uint64)
-            else:
-                tgt = np.where(digits[v] == 0, e1[v], e0[v]).astype(np.uint64)
-            new |= m << tgt
-        return new
-
     if t == 1:
         return np.ones(idx.shape, dtype=bool)
-    frontier = [full]
-    for _ in range(k):
-        nxt = []
-        for active in frontier:
-            for letter in (0, 1):
-                img = step(active, letter)
-                ok |= (img & (img - one)) == 0
-                nxt.append(img)
-        frontier = nxt
+    shifts = np.arange(0, t, _GROUP, dtype=np.int64)[:, None]  # 4g for group g
+    # Table rows g*256 + (D << 4) under letter a; letter b complements D.
+    rows_a = (shifts << 6) | (((idx >> shifts) & 15) << 4)
+    rows_b = rows_a ^ 0xF0
+    ok = np.zeros(idx.shape, dtype=bool)
+    # Preallocated buffers: one image and one active-nibble array per depth.
+    images = [np.full(idx.shape, (1 << t) - 1, dtype=np.int64)]
+    images += [np.empty_like(images[0]) for _ in range(k)]
+    actives = [(images[0] >> shifts) & 15]
+    actives += [np.empty_like(rows_a) for _ in range(k - 1)]
+    rows, gathered = np.empty_like(rows_a), np.empty_like(rows_a)
+    for word in range(1 << k):
+        # Letters above the lowest set bit of word match the previous word, so
+        # the images down to that depth are reused.
+        first = k - (word & -word).bit_length() if word else 0
+        for depth in range(first, k):
+            letter_rows = rows_b if word >> (k - 1 - depth) & 1 else rows_a
+            np.bitwise_or(letter_rows, actives[depth], out=rows)
+            np.take(tables, rows, out=gathered, mode="clip")
+            image = images[depth + 1]
+            np.bitwise_or.reduce(gathered, axis=0, out=image)
+            if depth + 1 < k:
+                np.right_shift(image, shifts, out=actives[depth + 1])
+                actives[depth + 1] &= 15
+        leaf = images[k]
+        ok |= (leaf & (leaf - 1)) == 0
     return ok
 
 
@@ -82,23 +118,41 @@ def sweep_sync_indices(g: Multigraph, k: int,
     """Ascending enumeration indices of colorings synchronizable within k letters.
 
     Out-degree 2 only; the order matches enumerate_colorings exactly.
+
+    Color-swap symmetry: flipping every digit of index i swaps the letters a
+    and b, so index i and index 2^t - 1 - i have the same reset lengths.  The
+    kernel therefore runs only on the lower half, below 2^(t-1), yielding its
+    hits as they are found, and keeps the masks of chunks with a hit packed,
+    at most 2^(t-1) bits; the upper half is then yielded by walking those
+    masks backwards.
+    A caller that stops at the first hit never reaches the upper half.
     """
     d = out_degree_uniform(g)
     if d != 2:
         raise InvalidInputError("sweep_sync_indices needs out-degree 2")
     if k > _SWEEP_WORD_DEPTH_CAP:
         raise SizeLimitError(
-            f"sweep explores 2^(k+1) word nodes; capped at k={_SWEEP_WORD_DEPTH_CAP}"
+            f"sweep walks 2^k words per coloring; capped at k={_SWEEP_WORD_DEPTH_CAP}"
         )
     t = g.t
     total = 1 << t
+    half = total >> 1
     e0 = np.array([g.out_edges[v][0] for v in range(t)], dtype=np.uint64)
     e1 = np.array([g.out_edges[v][1] for v in range(t)], dtype=np.uint64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        ok = _sync_mask_chunk(e0, e1, t, k, idx)
-        for i in np.nonzero(ok)[0]:
-            yield start + int(i)
+    tables = _step_tables(e0, e1, t)
+    # Packed kernel masks of the lower-half chunks that hold a hit.
+    lower: list[tuple[int, np.ndarray]] = []
+    for start in range(0, half, chunk):
+        idx = np.arange(start, min(start + chunk, half), dtype=np.int64)
+        ok = _sync_mask_chunk(e0, e1, t, k, idx, tables)
+        found = np.flatnonzero(ok)
+        if len(found):
+            lower.append((start, np.packbits(ok)))
+            for i in found.tolist():
+                yield start + i
+    for start, packed in reversed(lower):
+        for i in np.flatnonzero(np.unpackbits(packed))[::-1].tolist():
+            yield total - 1 - start - i
 
 
 def srcp_oracle(g: Multigraph, k: int,
@@ -123,7 +177,10 @@ def srcp_oracle(g: Multigraph, k: int,
         for index in sweep_sync_indices(g, k):
             coloring = coloring_from_index(g, index)
             word = shortest_reset_word(apply_coloring(g, coloring), limit=k)
-            assert word is not None
+            if word is None:
+                raise RuntimeError(
+                    f"sweep hit at coloring {index} has no reset word of length <= {k}"
+                )
             return coloring, word
         return None
     for coloring in enumerate_colorings(g):
@@ -193,7 +250,11 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
             best = max(counts.items(), key=lambda item: (item[1], -item[0]))
             target, multiplicity = best
             # Pigeonhole: degree > t*(z-1) over <= t targets forces >= z copies.
-            assert multiplicity >= z
+            if multiplicity < z:
+                raise RuntimeError(
+                    f"vertex {v}: out-degree {degree} leaves only {multiplicity} "
+                    f"parallel edges, fewer than {z}"
+                )
             for slot in range(len(edges[v]) - 1, -1, -1):
                 if edges[v][slot] == target:
                     del edges[v][slot]
@@ -245,12 +306,6 @@ def srcp_exists_small_k(g: Multigraph, k: int) -> bool:
     counts = [{u: ts.count(u) for u in set(ts)} for ts in g.out_edges]
     supports = [sorted(c) for c in counts]
     t = g.t
-
-    def has_slot(v: int, target: int, used: list[int]) -> bool:
-        # A free slot v->target after the used targets consumed one slot each.
-        need = 1 + sum(1 for u in used if u == target)
-        return counts[v].get(target, 0) >= need
-
     for pattern in _pattern_words(k):
         distinct = max(pattern) + 1
         if distinct > d:

@@ -13,10 +13,6 @@ from typing import Optional
 from .automata import Dfa, Word
 from .errors import InvalidInputError
 
-# Subset search is exact for any t, but the frontier can reach 2^t; callers
-# wanting guarantees should stay at t <= 20 or pass a limit.
-PRACTICAL_EXACT_STATES = 20
-
 
 def pin_bound(t: int) -> int:
     """Upper bound (t^3 - t) / 6 on shortest reset length; exact integer."""

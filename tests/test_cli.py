@@ -155,3 +155,44 @@ def test_unknown_input_is_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "sync", "check", "--in",
                        str(tmp_path / "missing.txt"))
     assert code == 1
+
+
+def _assert_clean_exit_1(code, out, err):
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
+def test_non_integer_dfa_token_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.dfa"
+    path.write_text("dfa 2 2\n0 x\n1 0\n")
+    _assert_clean_exit_1(*run(capsys, "sync", "check", "--in", str(path)))
+
+
+def test_non_integer_graph_token_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("graph 2 2\n0 1\n1 z\n")
+    _assert_clean_exit_1(*run(capsys, "srcp", "decide", "--in", str(path),
+                              "--k", "2"))
+
+
+def test_srcpw_word_outside_alphabet_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(write_graph(make_graph([(0, 1), (0, 1)])))
+    _assert_clean_exit_1(*run(capsys, "srcpw", "decide", "--word", "ABB",
+                              "--in", str(path)))
+
+
+def test_verify_sat_reduce_without_input_is_exit_1(capsys):
+    _assert_clean_exit_1(*run(capsys, "verify", "sat-reduce"))
+
+
+def test_gen_compose_without_batch_is_exit_1(capsys):
+    _assert_clean_exit_1(*run(capsys, "gen", "compose"))
+
+
+def test_unreadable_input_is_exit_1(tmp_path, capsys):
+    binary = tmp_path / "g.bin"
+    binary.write_bytes(b"graph 2 2\n\xff\xfe\n")
+    _assert_clean_exit_1(*run(capsys, "srcp", "decide", "--in", str(binary)))
+    _assert_clean_exit_1(*run(capsys, "sync", "check", "--in", str(tmp_path)))

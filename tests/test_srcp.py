@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from roadsync import srcp
 from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.graphs import (
     Multigraph,
     apply_coloring,
     coloring_from_index,
+    enumerate_colorings,
     make_graph,
     out_degree_uniform,
 )
@@ -52,7 +54,6 @@ def test_oracle_first_witness_and_shortest_word():
         g = random_multigraph(rng, rng.randint(1, 4), 2)
         res = srcp_oracle(g, 3)
         slow = None
-        from roadsync.graphs import enumerate_colorings
         for idx, c in enumerate(enumerate_colorings(g)):
             w = shortest_reset_word(apply_coloring(g, c), limit=3)
             if w is not None:
@@ -69,7 +70,6 @@ def test_oracle_first_witness_and_shortest_word():
 
 def test_sweep_matches_pure_enumeration():
     rng = random.Random(17)
-    from roadsync.graphs import enumerate_colorings
     for _ in range(25):
         g = random_multigraph(rng, rng.randint(1, 5), 2)
         k = rng.randint(0, 4)
@@ -77,6 +77,61 @@ def test_sweep_matches_pure_enumeration():
         slow = [idx for idx, c in enumerate(enumerate_colorings(g))
                 if shortest_reset_word(apply_coloring(g, c), limit=k) is not None]
         assert fast == slow
+
+
+def _enumeration_lengths(g):
+    """Shortest reset length (None beyond 6) of every coloring, in index order."""
+    lengths = []
+    for c in enumerate_colorings(g):
+        w = shortest_reset_word(apply_coloring(g, c), limit=6)
+        lengths.append(None if w is None else len(w))
+    return lengths
+
+
+def test_sweep_matches_enumeration_across_chunks():
+    # chunk sizes 1 and 3 split the lower half unevenly and exercise the
+    # mirrored upper half chunk by chunk.
+    rng = random.Random(29)
+    for t in range(1, 11):
+        g = random_multigraph(rng, t, 2)
+        lengths = _enumeration_lengths(g)
+        for k in range(7):
+            slow = [i for i, n in enumerate(lengths) if n is not None and n <= k]
+            for chunk in (1, 3, 64):
+                assert list(sweep_sync_indices(g, k, chunk=chunk)) == slow, (t, k, chunk)
+
+
+def test_sweep_kernel_only_sees_lower_half(monkeypatch):
+    seen = []
+    kernel = srcp._sync_mask_chunk
+
+    def spy(e0, e1, t, k, idx, tables):
+        seen.append((t, int(idx.max())))
+        return kernel(e0, e1, t, k, idx, tables)
+
+    monkeypatch.setattr(srcp, "_sync_mask_chunk", spy)
+    rng = random.Random(41)
+    for t in range(1, 11):
+        g = random_multigraph(rng, t, 2)
+        indices = list(sweep_sync_indices(g, 4, chunk=7))
+        assert all(i < 1 << t for i in indices)
+    assert seen
+    assert all(top < 1 << (t - 1) for t, top in seen)
+
+
+def test_fast_oracle_matches_plain_enumeration():
+    rng = random.Random(53)
+    answers = []
+    for t in range(6, 11):
+        # A doubled cycle: every coloring is a permutation, so every k is NO.
+        ring = make_graph([((v + 1) % t, (v + 1) % t) for v in range(t)])
+        for g in (ring, random_multigraph(rng, t, 2), random_multigraph(rng, t, 2)):
+            for k in range(7):
+                fast = srcp_oracle(g, k)
+                assert fast == srcp_oracle(g, k, fast=False), (g.out_edges, k)
+                answers.append(fast)
+    assert None in answers
+    assert any(a is not None for a in answers)
 
 
 def test_srcp_decide_requires_admissible():
