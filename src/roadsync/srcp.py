@@ -59,16 +59,20 @@ def _step_tables(e0: np.ndarray, e1: np.ndarray, t: int) -> np.ndarray:
     digit is 0, so letter b is the same lookup with D complemented.
     """
     groups = -(-t // _GROUP)
+    # by_bit(e)[g, j] is e of the vertex at bit 4g+j; valid masks out the
+    # padding bits past t.
+    valid = (np.arange(groups * _GROUP) < t).reshape(groups, _GROUP, 1)
+
+    def by_bit(e: np.ndarray) -> np.ndarray:
+        padded = np.zeros(groups * _GROUP, dtype=np.int64)
+        padded[:t] = e[::-1]
+        return padded.reshape(groups, _GROUP, 1)
+
     rows = np.arange(256, dtype=np.int64)
-    digit_nibble, active_nibble = rows >> 4, rows & 15
-    tables = np.zeros((groups, 256), dtype=np.int64)
-    for bit in range(t):  # padding bits of the last group are never active
-        v = t - 1 - bit
-        g, j = divmod(bit, _GROUP)
-        tgt = np.where((digit_nibble >> j) & 1, int(e1[v]), int(e0[v]))
-        image = np.left_shift(1, t - 1 - tgt)
-        tables[g] |= np.where((active_nibble >> j) & 1, image, 0)
-    return tables.ravel()
+    j = np.arange(_GROUP, dtype=np.int64)[:, None]
+    targets = np.where((rows >> (4 + j)) & 1, by_bit(e1), by_bit(e0))
+    images = np.left_shift(1, t - 1 - targets) * (((rows >> j) & 1) * valid)
+    return np.bitwise_or.reduce(images, axis=1).ravel()
 
 
 def _sync_mask_chunk(e0: np.ndarray, e1: np.ndarray, t: int, k: int,
