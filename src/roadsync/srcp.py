@@ -45,8 +45,6 @@ _SWEEP_CHUNK = 1 << 13
 # array per depth (O(k * chunk) memory) and 2^(k+1) - 2 steps per chunk; the
 # per-coloring BFS path takes over beyond this depth.
 _SWEEP_WORD_DEPTH_CAP = 8
-# Vertices per lookup table: 4 coloring digits and 4 active bits index 256 rows.
-_GROUP = 4
 
 
 def _step_tables(e0: np.ndarray, e1: np.ndarray, t: int) -> np.ndarray:
@@ -58,18 +56,18 @@ def _step_tables(e0: np.ndarray, e1: np.ndarray, t: int) -> np.ndarray:
     under letter a when their digits are D.  Letter a takes slot 0 where the
     digit is 0, so letter b is the same lookup with D complemented.
     """
-    groups = -(-t // _GROUP)
+    groups = -(-t // 4)
     # by_bit(e)[g, j] is e of the vertex at bit 4g+j; valid masks out the
     # padding bits past t.
-    valid = (np.arange(groups * _GROUP) < t).reshape(groups, _GROUP, 1)
+    valid = (np.arange(groups * 4) < t).reshape(groups, 4, 1)
 
     def by_bit(e: np.ndarray) -> np.ndarray:
-        padded = np.zeros(groups * _GROUP, dtype=np.int64)
+        padded = np.zeros(groups * 4, dtype=np.int64)
         padded[:t] = e[::-1]
-        return padded.reshape(groups, _GROUP, 1)
+        return padded.reshape(groups, 4, 1)
 
     rows = np.arange(256, dtype=np.int64)
-    j = np.arange(_GROUP, dtype=np.int64)[:, None]
+    j = np.arange(4, dtype=np.int64)[:, None]
     targets = np.where((rows >> (4 + j)) & 1, by_bit(e1), by_bit(e0))
     images = np.left_shift(1, t - 1 - targets) * (((rows >> j) & 1) * valid)
     return np.bitwise_or.reduce(images, axis=1).ravel()
@@ -80,15 +78,16 @@ def _sync_mask_chunk(e0: np.ndarray, e1: np.ndarray, t: int, k: int,
     """Boolean array: which coloring indices admit a reset word of length <= k.
 
     Colorings are packed into idx (int64) with vertex 0 as the most
-    significant bit; bit 0 means slot 0 carries letter a.  The words of length exactly k are
-    walked depth-first with one image array per depth, and only the leaves are
-    tested: a reset word shorter than k pads to length k, because a singleton
-    image stays a singleton.  The step reads only tables, which the caller
-    builds once per sweep as _step_tables(e0, e1, t).
+    significant bit; bit 0 means slot 0 carries letter a.  The words of
+    length exactly k are walked depth-first with one image array per depth,
+    and only the leaves are tested: a reset word shorter than k pads to
+    length k, because a singleton image stays a singleton.  The step reads
+    only tables, which the caller builds once per sweep as
+    _step_tables(e0, e1, t).
     """
     if t == 1:
         return np.ones(idx.shape, dtype=bool)
-    shifts = np.arange(0, t, _GROUP, dtype=np.int64)[:, None]  # 4g for group g
+    shifts = np.arange(0, t, 4, dtype=np.int64)[:, None]  # 4g for group g
     # Table rows g*256 + (D << 4) under letter a; letter b complements D.
     rows_a = (shifts << 6) | (((idx >> shifts) & 15) << 4)
     rows_b = rows_a ^ 0xF0
