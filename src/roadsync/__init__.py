@@ -56,7 +56,6 @@ from .srcpw import (
     decide_aba,
     decide_abb,
     fixed_word_coloring,
-    in_class_oracle,
     recolor_abb_to_aba,
     srcp_k3_decide,
 )

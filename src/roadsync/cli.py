@@ -229,8 +229,6 @@ def _cmd_export(args, out: _Output) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="roadsync")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; output is identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sync = sub.add_parser("sync")

@@ -114,7 +114,8 @@ def pattern_subset(i: int, m: int) -> frozenset[int]:
         raise InvalidInputError(f"pattern index {i} out of range 1..{m}")
     q = pattern_width(m)
     bits = frozenset(k for k in range(q + 1) if (i >> k) & 1)
-    assert bits and len(bits) <= q
+    if not bits or len(bits) > q:
+        raise RuntimeError(f"pattern of {i} is not a nonempty proper subset")
     return bits
 
 
@@ -127,7 +128,8 @@ def pattern_functions(i: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     q = pattern_width(m)
     inside = sorted(pattern_subset(i, m))
     outside = sorted(set(range(q + 1)) - set(inside))
-    assert inside and outside
+    if not inside or not outside:
+        raise RuntimeError(f"pattern of {i} leaves a range empty")
 
     def cyclic(targets: list[int]) -> tuple[int, ...]:
         return tuple(targets[k % len(targets)] for k in range(q + 1))
@@ -153,16 +155,10 @@ class ComposedAutomaton:
     def dead(self) -> int:
         return self.t
 
-    def guard_state(self, h: int, col: int, flag: int) -> int:
-        return self.t + 1 + ((h * (self.q + 1) + col) * 2 + flag)
-
     def guard_cell_of(self, state: int) -> Optional[tuple[int, int, str]]:
         if state <= self.t:
             return None
-        raw = state - self.t - 1
-        flag = raw & 1
-        raw >>= 1
-        h, col = divmod(raw, self.q + 1)
+        h, col, flag = _unpack_guard(state, self.t, self.q)
         return (h, col, "TF"[flag])
 
     @property
@@ -292,17 +288,12 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
 
     dfa = Dfa(n_states, n_letters, tuple(tuple(row) for row in delta))
 
+    # guard(h, col, flag) numbers the cells in this loop order.
     state_names = [f"s{s + 1}" for s in range(t)] + ["D"]
     for h in range(z + 1):
         for col in range(q + 1):
             for flag in range(2):
                 state_names.append(f"({h},{col},{'TF'[flag]})")
-    state_names_ordered = [""] * n_states
-    state_names_ordered[: t + 1] = state_names[: t + 1]
-    for h in range(z + 1):
-        for col in range(q + 1):
-            for flag in range(2):
-                state_names_ordered[guard(h, col, flag)] = f"({h},{col},{'TF'[flag]})"
 
     letter_names = ["kappa"]
     for i in range(1, m + 1):
@@ -318,7 +309,7 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
         d_prime=z + 1,
         z=z,
         q=q,
-        state_names=tuple(state_names_ordered),
+        state_names=tuple(state_names),
         letter_names=tuple(letter_names),
         item_letter_offsets=tuple(offsets),
         item_alphabet_sizes=sizes,
@@ -338,7 +329,8 @@ def compose_or_decide(raw: Sequence[tuple[Dfa, int]], t: int):
     pre = preprocess(raw, t)
     if pre.answer is not None:
         return pre.answer
-    assert pre.batch is not None
+    if pre.batch is None:
+        raise RuntimeError("preprocess returned neither an answer nor a batch")
     early = big_m_branch(pre.batch)
     if early is not None:
         return early

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
@@ -33,6 +34,15 @@ class Multigraph:
 
     def edge_count(self) -> int:
         return sum(len(ts) for ts in self.out_edges)
+
+    @cached_property
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """Sources of the edges into each vertex, one entry per edge slot."""
+        preds: list[list[int]] = [[] for _ in range(self.t)]
+        for u, targets in enumerate(self.out_edges):
+            for v in targets:
+                preds[v].append(u)
+        return tuple(tuple(us) for us in preds)
 
 
 @dataclass(frozen=True)
@@ -158,10 +168,7 @@ def distance_layers(g: Multigraph, q: int) -> list[Optional[int]]:
     """Shortest directed path length from each vertex to q (None if unreachable)."""
     if not 0 <= q < g.t:
         raise InvalidInputError(f"vertex {q} out of range")
-    preds: list[list[int]] = [[] for _ in range(g.t)]
-    for u in range(g.t):
-        for v in g.out_edges[u]:
-            preds[v].append(u)
+    preds = g.predecessors
     dist: list[Optional[int]] = [None] * g.t
     dist[q] = 0
     frontier = [q]

@@ -2,11 +2,15 @@
 
 G_w is the set of out-degree-2 multigraphs admitting a coloring delta with
 |delta(Q, w)| = 1.  Membership for the length-3 words is decided by a duty
-fixpoint plus propagation-guided selection (derived here, exact, and validated
-exhaustively against the brute-force oracle; the propagation leaves almost
-nothing for the backtracking fallback to do).  The abb class additionally has
-the distance-layer characterization, which doubles as a witness construction,
-and the aaa class reduces to a self-loop plus three backward layers.
+fixpoint plus propagation-guided selection with a backtracking fallback
+(derived here, exact, and validated exhaustively against the brute-force
+oracle in the test suite).  The search has no work budget: on some graphs with
+a planted length-3 coloring it runs for minutes, for example
+`planted_word_graph(random.Random(48), 200, "aba")` from
+`perfbench/workloads.py` with the word aba (see CHANGES.md).  The abb class
+additionally has the distance-layer characterization, which doubles as a
+witness construction, and the aaa class reduces to a self-loop plus three
+backward layers.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from .graphs import (
     Coloring,
     Multigraph,
     apply_coloring,
-    coloring_from_index,
     distance_layers,
     is_admissible,
     out_degree_uniform,
+    vertices_at_distance,
 )
 
 CANONICAL_WORDS = ("aaa", "aab", "aba", "abb")
@@ -59,46 +63,6 @@ def _require_outdeg2(g: Multigraph) -> None:
         raise InvalidInputError("fixed-word machinery needs out-degree 2")
 
 
-def in_class_oracle(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
-    """Brute force over all colorings: first one with |delta(Q, w)| = 1.
-
-    Walks the full coloring space in enumeration order (bitmask images keep
-    this fast for t around 20); independent of the polynomial deciders.
-    """
-    _require_outdeg2(g)
-    index = _oracle_first_index(g, w)
-    return None if index is None else coloring_from_index(g, index)
-
-
-def _oracle_first_index(g: Multigraph, w: Sequence[int]) -> Optional[int]:
-    t = g.t
-    e0 = [1 << ts[0] for ts in g.out_edges]
-    e1 = [1 << ts[1] for ts in g.out_edges]
-    full = (1 << t) - 1
-    word = tuple(w)
-    for c in range(1 << t):
-        ta = [0] * t
-        tb = [0] * t
-        for v in range(t):
-            if (c >> (t - 1 - v)) & 1:
-                ta[v], tb[v] = e1[v], e0[v]
-            else:
-                ta[v], tb[v] = e0[v], e1[v]
-        img = full
-        for x in word:
-            tab = ta if x == 0 else tb
-            nxt = 0
-            m = img
-            while m:
-                low = m & -m
-                nxt |= tab[low.bit_length() - 1]
-                m ^= low
-            img = nxt
-        if img & (img - 1) == 0:
-            return c
-    return None
-
-
 def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
     """Exact search for a coloring with |delta(Q, w)| = 1.
 
@@ -106,9 +70,9 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
     assigns to letter w_i must land in the level-(i+1) hit set (level 0 binds
     every state, level |w| is {q}).  A greatest fixpoint over per-state duty
     viability prunes the hit sets, then the residual per-state binary slot
-    choices are resolved by demand propagation with backtracking.  The
-    propagation discharges almost every instance without branching; returned
-    colorings are always verified.
+    choices are resolved by demand propagation with backtracking.  There is
+    no work budget (see the module docstring for a graph where the search
+    runs for minutes); returned colorings are always verified.
     """
     _require_outdeg2(g)
     for x in w:
@@ -116,11 +80,13 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
             raise InvalidInputError("fixed-word search covers two-letter words")
     if len(w) == 0:
         return _trivial_coloring(g) if g.t == 1 else None
-    dist = _min_edge_distance_to(g)
+    reach = len(w) - 1
     for q in range(g.t):
         # Every state needs a path of length exactly |w| to q, hence an edge
         # into the (|w|-1)-step backward cone; cheap necessary filter.
-        if not _cone_filter(g, q, len(w), dist):
+        dist = distance_layers(g, q)
+        if not all(any(dist[u] is not None and dist[u] <= reach for u in ts)
+                   for ts in g.out_edges):
             continue
         coloring = _fixed_word_at(g, tuple(w), q)
         if coloring is not None:
@@ -130,40 +96,6 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
 
 def _trivial_coloring(g: Multigraph) -> Coloring:
     return Coloring(tuple((0, 1) for _ in range(g.t)))
-
-
-def _min_edge_distance_to(g: Multigraph) -> list[list[int]]:
-    # dist[q][v]: shortest path length v -> q, or a large sentinel.
-    big = g.t + 10
-    preds: list[list[int]] = [[] for _ in range(g.t)]
-    for u in range(g.t):
-        for v in g.out_edges[u]:
-            preds[v].append(u)
-    out = []
-    for q in range(g.t):
-        dist = [big] * g.t
-        dist[q] = 0
-        frontier = [q]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for u in preds[v]:
-                    if dist[u] > d:
-                        dist[u] = d
-                        nxt.append(u)
-            frontier = nxt
-        out.append(dist)
-    return out
-
-
-def _cone_filter(g: Multigraph, q: int, length: int, dist: list[list[int]]) -> bool:
-    dq = dist[q]
-    for v in range(g.t):
-        if not any(dq[u] <= length - 1 for u in g.out_edges[v]):
-            return False
-    return True
 
 
 def _fixed_word_at(g: Multigraph, w: Word, q: int) -> Optional[Coloring]:
@@ -294,9 +226,8 @@ def abb_witness_target(g: Multigraph) -> Optional[int]:
     """A vertex q such that every vertex has an out-edge into V_2(q), if any."""
     _require_outdeg2(g)
     for q in range(g.t):
-        dist = distance_layers(g, q)
-        v2 = {v for v in range(g.t) if dist[v] == 2}
-        if all(any(u in v2 for u in g.out_edges[v]) for v in range(g.t)):
+        v2 = vertices_at_distance(g, q, 2)
+        if all(any(u in v2 for u in ts) for ts in g.out_edges):
             return q
     return None
 
@@ -304,8 +235,7 @@ def abb_witness_target(g: Multigraph) -> Optional[int]:
 def abb_coloring_from_target(g: Multigraph, q: int) -> Coloring:
     """Label edges into V_2(q) with a (lower slot wins ties), the rest with b."""
     _require_outdeg2(g)
-    dist = distance_layers(g, q)
-    v2 = {v for v in range(g.t) if dist[v] == 2}
+    v2 = vertices_at_distance(g, q, 2)
     slots = []
     for v in range(g.t):
         t0, t1 = g.out_edges[v]
@@ -362,14 +292,23 @@ def srcp_k3_decide(g: Multigraph) -> bool:
     """SRCP with out-degree 2 and k = 3, via the four fixed-word classes."""
     if not is_admissible(g):
         raise InvalidInputError("srcp_k3_decide is defined on admissible graphs")
-    _require_outdeg2(g)
-    return (decide_aaa(g) or decide_aab(g) or decide_aba(g) or decide_abb(g))
+    return srcp_k3_decide_unchecked(g)
 
 
 def srcp_k3_decide_unchecked(g: Multigraph) -> bool:
-    """Class-union decision without the admissibility guard (oracle comparisons)."""
+    """Class union G_aaa | G_aab | G_aba | G_abb, each class evaluated once.
+
+    A reset word of length <= 3 pads with a to length 3 and starts with a up
+    to the color swap, so SRCP at k = 3 is this union.  The abb class goes
+    through its characterization: a witness target is always sound (the
+    constructed coloring resets by abb, whatever other class the graph is
+    in), and it exists for every member outside G_aaa | G_aba, which the
+    other three searches already cover.  No admissibility guard, so the
+    oracle comparisons can use any out-degree-2 graph.
+    """
     _require_outdeg2(g)
-    return any(
-        fixed_word_coloring(g, w) is not None
-        for w in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1))
+    return (
+        any(fixed_word_coloring(g, w) is not None
+            for w in ((0, 0, 0), (0, 0, 1), (0, 1, 0)))
+        or abb_witness_target(g) is not None
     )

@@ -73,34 +73,33 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
         return ()
     bits = _image_masks(a)
     parent: dict[int, tuple[int, int]] = {full: (-1, -1)}
-    depth = {full: 0}
-    queue = deque([full])
-    while queue:
-        cur = queue.popleft()
-        d = depth[cur]
-        if limit is not None and d >= limit:
-            continue
-        for x in range(a.alphabet_size):
-            row = bits[x]
-            nxt = 0
-            rem = cur
-            while rem:
-                low = rem & -rem
-                nxt |= row[low.bit_length() - 1]
-                rem ^= low
-            if nxt in parent:
-                continue
-            parent[nxt] = (cur, x)
-            depth[nxt] = d + 1
-            if nxt & (nxt - 1) == 0:
-                word = []
-                node = nxt
-                while parent[node][1] != -1:
-                    node, letter = parent[node]
-                    word.append(letter)
-                word.reverse()
-                return tuple(word)
-            queue.append(nxt)
+    frontier = [full]
+    level = 0
+    while frontier and (limit is None or level < limit):
+        level += 1
+        nxt_frontier = []
+        for cur in frontier:
+            for x in range(a.alphabet_size):
+                row = bits[x]
+                nxt = 0
+                rem = cur
+                while rem:
+                    low = rem & -rem
+                    nxt |= row[low.bit_length() - 1]
+                    rem ^= low
+                if nxt in parent:
+                    continue
+                parent[nxt] = (cur, x)
+                if nxt & (nxt - 1) == 0:
+                    word = []
+                    node = nxt
+                    while parent[node][1] != -1:
+                        node, letter = parent[node]
+                        word.append(letter)
+                    word.reverse()
+                    return tuple(word)
+                nxt_frontier.append(nxt)
+        frontier = nxt_frontier
     return None
 
 

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, permutations, product
+from typing import Optional
+
+import numpy as np
 
 from roadsync.automata import Dfa, apply_word
-from roadsync.graphs import Multigraph
+from roadsync.graphs import Coloring, Multigraph, coloring_from_index
 
 
 def random_dfa(rng: random.Random, t: int, k: int) -> Dfa:
@@ -48,6 +51,30 @@ def canonical_iso_form(g: Multigraph) -> tuple:
     return best
 
 
+def iso_class_representatives(t: int) -> list[Multigraph]:
+    """First graph of each isomorphism class in `outdeg2_graphs_exhaustive(t)`.
+
+    The same selection as keeping the graphs whose `canonical_iso_form` is new,
+    in the same order, vectorized: a graph is its base-P code over the P slot
+    pairs (vertex 0 most significant), and pair order is tuple order, so the
+    minimal code over all relabelings orders like the canonical form.
+    """
+    pairs = list(combinations_with_replacement(range(t), 2))
+    base = len(pairs)
+    index_of = {pair: i for i, pair in enumerate(pairs)}
+    weights = base ** np.arange(t - 1, -1, -1, dtype=np.int64)
+    digits = np.indices((base,) * t, dtype=np.int64).reshape(t, -1)
+    best = None
+    for perm in permutations(range(t)):
+        relabel = np.array([index_of[tuple(sorted((perm[u], perm[v])))]
+                            for u, v in pairs], dtype=np.int64)
+        code = sum(relabel[digits[v]] * weights[perm[v]] for v in range(t))
+        best = code if best is None else np.minimum(best, code)
+    _, first = np.unique(best, return_index=True)
+    return [Multigraph(t, tuple(pairs[d] for d in digits[:, i]))
+            for i in np.sort(first)]
+
+
 def brute_shortest_reset(a: Dfa, max_len: int):
     """Word enumeration in length-then-lex order; None if nothing found."""
     full = a.full_set()
@@ -70,14 +97,18 @@ def all_reset_words_upto(a: Dfa, max_len: int):
     return out
 
 
-def oracle_word_memberships(g: Multigraph, words) -> dict:
-    """For each word, does SOME coloring synchronize by it?  One bitmask pass."""
+def oracle_first_indices(g: Multigraph, words) -> dict:
+    """For each word, the index of the first coloring that synchronizes by it.
+
+    One bitmask pass over the out-degree-2 colorings in the order of
+    `coloring_from_index`; None for a word no coloring synchronizes by.
+    """
     t = g.t
     e0 = [1 << ts[0] for ts in g.out_edges]
     e1 = [1 << ts[1] for ts in g.out_edges]
     full = (1 << t) - 1
-    found = {w: False for w in words}
-    remaining = len(found)
+    first: dict = {tuple(w): None for w in words}
+    remaining = len(first)
     for c in range(1 << t):
         ta = [0] * t
         tb = [0] * t
@@ -86,8 +117,8 @@ def oracle_word_memberships(g: Multigraph, words) -> dict:
                 ta[v], tb[v] = e1[v], e0[v]
             else:
                 ta[v], tb[v] = e0[v], e1[v]
-        for w in words:
-            if found[w]:
+        for w in first:
+            if first[w] is not None:
                 continue
             img = full
             for x in w:
@@ -100,11 +131,22 @@ def oracle_word_memberships(g: Multigraph, words) -> dict:
                     m ^= low
                 img = nxt
             if img & (img - 1) == 0:
-                found[w] = True
+                first[w] = c
                 remaining -= 1
         if not remaining:
             break
-    return found
+    return first
+
+
+def oracle_word_memberships(g: Multigraph, words) -> dict:
+    """For each word, does SOME coloring synchronize by it?"""
+    return {w: i is not None for w, i in oracle_first_indices(g, words).items()}
+
+
+def in_class_oracle(g: Multigraph, w) -> Optional[Coloring]:
+    """First coloring in enumeration order with |delta(Q, w)| = 1, or None."""
+    index = oracle_first_indices(g, [w])[tuple(w)]
+    return None if index is None else coloring_from_index(g, index)
 
 
 def enumerate_simple_cycle_lengths(g: Multigraph) -> set[int]:

@@ -65,7 +65,7 @@ from roadsync.syncsolve import (
 from support import (
     all_reset_words_upto,
     brute_shortest_reset,
-    canonical_iso_form,
+    iso_class_representatives,
     oracle_word_memberships,
     outdeg2_graphs_exhaustive,
     random_dfa,
@@ -286,12 +286,7 @@ def test_criterion_8_fixed_word_deciders():
         for g in outdeg2_graphs_exhaustive(t):
             ok = ok and check(g)
             exhaustive += 1
-    seen = set()
-    for g in outdeg2_graphs_exhaustive(5):
-        key = canonical_iso_form(g)
-        if key in seen:
-            continue
-        seen.add(key)
+    for g in iso_class_representatives(5):
         ok = ok and check(g)
         exhaustive += 1
 

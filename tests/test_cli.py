@@ -196,3 +196,13 @@ def test_unreadable_input_is_exit_1(tmp_path, capsys):
     binary.write_bytes(b"graph 2 2\n\xff\xfe\n")
     _assert_clean_exit_1(*run(capsys, "srcp", "decide", "--in", str(binary)))
     _assert_clean_exit_1(*run(capsys, "sync", "check", "--in", str(tmp_path)))
+
+
+def test_threads_flag_is_rejected(tmp_path, capsys):
+    dfa_path = tmp_path / "c3.txt"
+    run(capsys, "gen", "cerny", "--n", "3", "--out", str(dfa_path))
+    code, out, err = run(capsys, "--threads", "2", "sync", "check",
+                         "--in", str(dfa_path))
+    assert code == 1
+    assert "usage:" in err and "error:" in err
+    assert "Traceback" not in out + err

@@ -20,13 +20,13 @@ from roadsync.srcpw import (
     decide_aba,
     decide_abb,
     fixed_word_coloring,
-    in_class_oracle,
     recolor_abb_to_aba,
     srcp_k3_decide,
     srcp_k3_decide_unchecked,
 )
 
 from support import (
+    in_class_oracle,
     oracle_word_memberships,
     outdeg2_graphs_exhaustive,
     random_multigraph,
@@ -56,11 +56,6 @@ def test_oracle_trivial_cases():
 def test_oracle_funnel_case():
     g = make_graph([(1, 1), (2, 2), (2, 2)])
     assert in_class_oracle(g, WORDS["aba"]) is not None
-
-
-def test_oracle_requires_outdeg2():
-    with pytest.raises(InvalidInputError):
-        in_class_oracle(make_graph([(0,)]), WORDS["aaa"])
 
 
 def test_oracle_returns_first_enumeration_witness():
@@ -235,3 +230,43 @@ def test_srcp_k3_requires_admissible():
 def test_srcp_k3_on_admissible():
     g = make_graph([(0, 1), (0, 1)])
     assert srcp_k3_decide(g) is True
+
+
+def test_abb_witness_target_is_always_sound():
+    # srcp_k3_decide_unchecked counts any witness target as an abb member,
+    # also on graphs in G_aaa or G_aba, so soundness must not need them absent.
+    graphs = [g for t in (1, 2, 3, 4) for g in outdeg2_graphs_exhaustive(t)]
+    rng = random.Random(13)
+    graphs += [random_multigraph(rng, rng.randint(1, 8), 2) for _ in range(2000)]
+    witnessed = 0
+    for g in graphs:
+        q = abb_witness_target(g)
+        if q is None:
+            continue
+        dfa = apply_coloring(g, abb_coloring_from_target(g, q))
+        image = apply_word(dfa, dfa.full_set(), WORDS["abb"])
+        assert image == frozenset({q}), g.out_edges
+        witnessed += 1
+    assert witnessed > 100
+
+
+def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
+    import roadsync.srcpw as srcpw
+
+    calls = {"fixed_word_coloring": 0, "abb_witness_target": 0}
+
+    def spy(name):
+        original = getattr(srcpw, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(srcpw, name, wrapper)
+
+    spy("fixed_word_coloring")
+    spy("abb_witness_target")
+    t = 12
+    g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
+    assert srcp_k3_decide(g) is False
+    assert srcp_oracle(g, 3) is None
+    assert calls == {"fixed_word_coloring": 3, "abb_witness_target": 1}
