@@ -48,9 +48,9 @@ from .srcp import (
     sweep_sync_indices,
 )
 from .srcpw import (
-    FixedWordClass,
     abb_coloring_from_target,
     abb_witness_target,
+    canonical_word,
     decide_aaa,
     decide_aab,
     decide_aba,

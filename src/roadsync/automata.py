@@ -37,9 +37,6 @@ class Dfa:
                 if not 0 <= q < self.t:
                     raise InvalidInputError(f"transition target {q} out of range")
 
-    def step(self, state: int, letter: int) -> int:
-        return self.delta[state][letter]
-
     def full_set(self) -> StateSet:
         return frozenset(range(self.t))
 

@@ -37,7 +37,7 @@ from .graphs import (
     write_graph_with_colors,
 )
 from .srcp import ORACLE_COLORING_CAP, kernelize, srcp_decide
-from .srcpw import FixedWordClass, fixed_word_coloring, srcp_k3_decide
+from .srcpw import canonical_word, fixed_word_coloring, srcp_k3_decide
 from .syncsolve import is_synchronizing, shortest_reset_word
 
 
@@ -134,8 +134,7 @@ def _cmd_srcp(args, out: _Output) -> int:
 
 def _cmd_srcpw(args, out: _Output) -> int:
     g = parse_graph(_read(args.infile))
-    cls = FixedWordClass.canonicalize(args.word)
-    witness = fixed_word_coloring(g, cls.letters)
+    witness = fixed_word_coloring(g, canonical_word(args.word))
     out.answer(witness is not None)
     if witness is not None:
         out.coloring(g, witness)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .automata import Dfa, _ints, apply_word
+from .automata import Dfa, _content_lines, _ints, apply_word
 from .errors import InvalidInputError, SizeLimitError
 from .syncsolve import is_synchronizing, pin_bound, shortest_reset_word, syn_decide
 
@@ -436,8 +436,7 @@ def verify_c1_c2_c3(composed: ComposedAutomaton,
 def parse_batch(text: str) -> tuple[list[tuple[Dfa, int]], int]:
     """Parse the batch format: `batch <m> <t>`, then per item a header
     `item <d_i> <alphabet_size>` followed by t transition rows."""
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+    lines = _content_lines(text)
     if not lines or not lines[0].startswith("batch"):
         raise InvalidInputError("expected `batch <m> <t>` header")
     head = lines[0].split()

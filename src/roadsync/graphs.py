@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
-from .automata import Dfa, LETTER_CHARS, _ints
+from .automata import Dfa, LETTER_CHARS, _content_lines, _ints
 from .errors import InvalidInputError
 
 
@@ -260,7 +260,7 @@ def enumerate_colorings(g: Multigraph) -> Iterator[Coloring]:
 
 def parse_graph(text: str) -> Multigraph:
     """Parse the "graph" text format: header `graph <t> <d>`, then t slot rows."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    lines = _content_lines(text)
     if not lines or not lines[0].startswith("graph"):
         raise InvalidInputError("expected `graph <t> <d>` header")
     head = lines[0].split()

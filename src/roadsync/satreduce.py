@@ -41,6 +41,7 @@ from .graphs import (
     is_strongly_connected,
     out_degree_uniform,
 )
+from .srcp import srcp_oracle
 
 Literal = tuple[int, bool]  # (variable index 1..n, negated)
 Clause = tuple[Literal, Literal, Literal]
@@ -278,7 +279,7 @@ def extract_coloring(rg: ReductionGraph, assignment: Sequence[bool]) -> Coloring
     dfa = apply_coloring(g, coloring)
     image = apply_word(dfa, dfa.full_set(), RESET_WORD)
     if image != frozenset({rg.d(4)}):
-        raise AssertionError("canonical coloring failed to synchronize at D4")
+        raise RuntimeError("canonical coloring failed to synchronize at D4")
     return coloring
 
 
@@ -313,8 +314,6 @@ class ReductionReport:
 
 def verify_reduction(f: Cnf3, state_cap: int = ORACLE_STATE_CAP) -> ReductionReport:
     """Check SAT <=> SRCP(G, 4) by brute force, plus the structural contracts."""
-    from .srcp import srcp_oracle  # local import to avoid a cycle
-
     augmented = augment_tautologies(f)
     rg = build_reduction(augmented)
     t = rg.graph.t

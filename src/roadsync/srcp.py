@@ -34,6 +34,7 @@ from .graphs import (
     is_aperiodic,
     out_degree_uniform,
 )
+from .srcpw import srcp_k3_decide
 from .syncsolve import pin_bound, shortest_reset_word
 
 # Full coloring enumeration is refused beyond this many colorings.
@@ -208,8 +209,6 @@ def srcp_decide(g: Multigraph, k: int,
         return True
     d = out_degree_uniform(g)
     if d == 2 and k == 3:
-        from .srcpw import srcp_k3_decide
-
         return srcp_k3_decide(g)
     if coloring_count(g) > coloring_cap:
         if k <= 3:

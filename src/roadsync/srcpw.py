@@ -1,11 +1,14 @@
 """Fixed-word road colorings on out-degree-2 graphs.
 
 G_w is the set of out-degree-2 multigraphs admitting a coloring delta with
-|delta(Q, w)| = 1.  Membership for the length-3 words is decided by a duty
-fixpoint plus propagation-guided selection with a backtracking fallback
-(derived here, exact, and validated exhaustively against the brute-force
-oracle in the test suite).  The search has no work budget: on some graphs with
-a planted length-3 coloring it runs for minutes, for example
+|delta(Q, w)| = 1.  Membership is decided per target q by a duty fixpoint
+plus propagation-guided selection with a backtracking fallback (derived here,
+exact, and validated exhaustively against the brute-force oracle in the test
+suite).  The fixpoint's hit sets start from the backward walk layers of q,
+read off the graph's predecessor lists, and the fixpoint is the only target
+filter: it rejects every q that some vertex has no walk of exactly |w| edges
+to, so no distance search runs.  The search has no work budget: on some
+graphs with a planted length-3 coloring it runs for minutes, for example
 `planted_word_graph(random.Random(48), 200, "aba")` from
 `perfbench/workloads.py` with the word aba (see CHANGES.md).  The abb class
 additionally has the distance-layer characterization, which doubles as a
@@ -15,47 +18,32 @@ backward layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .automata import Word, apply_word, word_from_str, word_to_str
+from .automata import Word, apply_word, word_from_str
 from .errors import InvalidInputError
 from .graphs import (
     Coloring,
     Multigraph,
     apply_coloring,
-    distance_layers,
     is_admissible,
     out_degree_uniform,
     vertices_at_distance,
 )
 
-CANONICAL_WORDS = ("aaa", "aab", "aba", "abb")
 
+def canonical_word(text: str) -> Word:
+    """Parse a length-3 word over {a, b}, its first letter normalized to a.
 
-@dataclass(frozen=True)
-class FixedWordClass:
-    """One of the four canonical length-3 words over a two-letter alphabet."""
-
-    word: str
-
-    def __post_init__(self) -> None:
-        if self.word not in CANONICAL_WORDS:
-            raise InvalidInputError(f"word must be one of {CANONICAL_WORDS}")
-
-    @classmethod
-    def canonicalize(cls, text: str) -> "FixedWordClass":
-        """Normalize the first letter to `a` using the color-swap symmetry."""
-        letters = word_from_str(text, 2)
-        if len(letters) != 3:
-            raise InvalidInputError("fixed-word classes cover length-3 words")
-        if letters[0] == 1:
-            letters = tuple(1 - x for x in letters)
-        return cls(word_to_str(letters, 2))
-
-    @property
-    def letters(self) -> Word:
-        return word_from_str(self.word, 2)
+    Swapping the two colors of every vertex shows G_w = G_w' for the
+    complementary word w', so aaa, aab, aba and abb stand for all eight.
+    """
+    letters = word_from_str(text, 2)
+    if len(letters) != 3:
+        raise InvalidInputError("fixed-word classes cover length-3 words")
+    if letters[0] == 1:
+        letters = tuple(1 - x for x in letters)
+    return letters
 
 
 def _require_outdeg2(g: Multigraph) -> None:
@@ -69,10 +57,11 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
     Per target q, a state active after i letters owes a duty: the edge it
     assigns to letter w_i must land in the level-(i+1) hit set (level 0 binds
     every state, level |w| is {q}).  A greatest fixpoint over per-state duty
-    viability prunes the hit sets, then the residual per-state binary slot
-    choices are resolved by demand propagation with backtracking.  There is
-    no work budget (see the module docstring for a graph where the search
-    runs for minutes); returned colorings are always verified.
+    viability prunes the hit sets, which start from the backward walk layers
+    of q; then the residual per-state binary slot choices are resolved by
+    demand propagation with backtracking.  There is no work budget (see the
+    module docstring for a graph where the search runs for minutes); returned
+    colorings are always verified.
     """
     _require_outdeg2(g)
     for x in w:
@@ -80,14 +69,7 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
             raise InvalidInputError("fixed-word search covers two-letter words")
     if len(w) == 0:
         return _trivial_coloring(g) if g.t == 1 else None
-    reach = len(w) - 1
     for q in range(g.t):
-        # Every state needs a path of length exactly |w| to q, hence an edge
-        # into the (|w|-1)-step backward cone; cheap necessary filter.
-        dist = distance_layers(g, q)
-        if not all(any(dist[u] is not None and dist[u] <= reach for u in ts)
-                   for ts in g.out_edges):
-            continue
         coloring = _fixed_word_at(g, tuple(w), q)
         if coloring is not None:
             return coloring
@@ -110,9 +92,17 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int) -> Optional[Coloring]:
             return target == q
         return target in hit[i + 1]
 
+    # Seed hit[i] with the vertices that have a walk of exactly L - i edges
+    # to q.  Each vertex of the greatest fixpoint's hit[i] has one, so this
+    # seed lies above that fixpoint, as the set of all vertices does, and the
+    # loop (which only removes vertices) reaches the same hit sets from both.
+    # hit[1] then lies in the (L-1)-step backward cone, so the duty-0 check
+    # after the loop rejects every q that a cone filter would skip.
     hit: list[set[int]] = [set() for _ in range(L)]
-    for i in levels:
-        hit[i] = set(range(t))
+    layer = {q}
+    for i in reversed(levels):
+        layer = {u for v in layer for u in g.predecessors[v]}
+        hit[i] = layer
     while True:
         changed = False
         for i in levels:

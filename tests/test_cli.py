@@ -206,3 +206,16 @@ def test_threads_flag_is_rejected(tmp_path, capsys):
     assert code == 1
     assert "usage:" in err and "error:" in err
     assert "Traceback" not in out + err
+
+
+def test_srcpw_word_is_canonicalized(tmp_path, capsys):
+    # bba is decided as aab: same answer and the same witness coloring, which
+    # on this graph differs from the coloring a bba search would return.
+    path = tmp_path / "g.txt"
+    path.write_text(write_graph(make_graph([(0, 1), (0, 0)])))
+    outputs = [run(capsys, "--json", "srcpw", "decide", "--word", w,
+                   "--in", str(path)) for w in ("bba", "aab")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and json.loads(outputs[0][1])["answer"] is True
+    _assert_clean_exit_1(*run(capsys, "srcpw", "decide", "--word", "ab",
+                              "--in", str(path)))

@@ -1,4 +1,6 @@
 import random
+import sys
+from itertools import product
 
 import pytest
 
@@ -8,13 +10,14 @@ from roadsync.graphs import (
     Coloring,
     apply_coloring,
     coloring_from_index,
+    distance_layers,
     make_graph,
 )
 from roadsync.srcp import srcp_oracle
 from roadsync.srcpw import (
-    FixedWordClass,
     abb_coloring_from_target,
     abb_witness_target,
+    canonical_word,
     decide_aaa,
     decide_aab,
     decide_aba,
@@ -36,13 +39,11 @@ WORDS = {"aaa": (0, 0, 0), "aab": (0, 0, 1), "aba": (0, 1, 0), "abb": (0, 1, 1)}
 
 
 def test_fixed_word_class_canonicalization():
-    assert FixedWordClass.canonicalize("abb").word == "abb"
-    assert FixedWordClass.canonicalize("baa").word == "abb"
-    assert FixedWordClass.canonicalize("bba").word == "aab"
+    assert canonical_word("abb") == WORDS["abb"]
+    assert canonical_word("baa") == WORDS["abb"]
+    assert canonical_word("bba") == WORDS["aab"]
     with pytest.raises(InvalidInputError):
-        FixedWordClass.canonicalize("ab")
-    with pytest.raises(InvalidInputError):
-        FixedWordClass("bba")
+        canonical_word("ab")
 
 
 def test_oracle_trivial_cases():
@@ -86,10 +87,14 @@ def test_fixed_word_matches_oracle_exhaustive_small():
 
 
 def test_fixed_word_matches_oracle_random():
+    # The length-3 classes, plus the words of length 1, 2 and 4 starting
+    # with a: the fixpoint seeding argument holds for every word length.
+    words = [w for n in (1, 2, 3, 4) for w in product((0, 1), repeat=n)
+             if w[0] == 0]
     rng = random.Random(41)
     for _ in range(800):
         g = random_multigraph(rng, rng.randint(1, 7), 2)
-        memberships = oracle_word_memberships(g, tuple(WORDS.values()))
+        memberships = oracle_word_memberships(g, words)
         for w, expected in memberships.items():
             witness = fixed_word_coloring(g, w)
             assert (witness is not None) == expected, (g.out_edges, w)
@@ -270,3 +275,27 @@ def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
     assert srcp_k3_decide(g) is False
     assert srcp_oracle(g, 3) is None
     assert calls == {"fixed_word_coloring": 3, "abb_witness_target": 1}
+
+
+def test_fixed_word_coloring_runs_no_bfs(monkeypatch):
+    # Wrap distance_layers at every name it is bound to in roadsync, so that
+    # a call through any module counts.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return distance_layers(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "roadsync" or name.startswith("roadsync."):
+            for attr, value in list(vars(module).items()):
+                if value is distance_layers:
+                    monkeypatch.setattr(module, attr, spy)
+    t = 12
+    g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
+    abb_witness_target(g)
+    assert len(calls) == t  # the spy sees the BFS of the abb characterization
+    calls.clear()
+    for w in product((0, 1), repeat=3):
+        assert fixed_word_coloring(g, w) is None
+    assert calls == []
