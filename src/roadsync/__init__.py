@@ -26,7 +26,6 @@ from .graphs import (
     apply_coloring,
     coloring_count,
     coloring_from_index,
-    distance_layers,
     enumerate_colorings,
     is_admissible,
     is_aperiodic,
@@ -35,7 +34,7 @@ from .graphs import (
     out_degree_uniform,
     parse_graph,
     to_dot,
-    vertices_at_distance,
+    walk_layers,
     write_graph,
 )
 from .syncsolve import is_synchronizing, pin_bound, shortest_reset_word, syn_decide

@@ -7,7 +7,7 @@ indices.  State sets are frozensets; images under words shrink monotonically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInputError
 
@@ -131,24 +131,32 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _header(lines: Sequence[str], usage: str) -> tuple[int, ...]:
+    """The two integers of the header line lines[0], written as `usage`."""
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or head[0] != usage.split()[0]:
+        raise InvalidInputError(f"expected `{usage}` header")
+    return _ints(head[1:], f"{head[0]} header")
+
+
+def _table(lines: Sequence[str], usage: str,
+           count: Optional[int] = None) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """A `<keyword> <x> <width>` header, then exactly count rows (x rows by
+    default) of width integers each; returns x, width and the rows."""
+    x, width = _header(lines, usage)
+    count = x if count is None else count
+    if len(lines) != 1 + count:
+        raise InvalidInputError(f"`{usage}`: expected {count} rows, found {len(lines) - 1}")
+    rows = tuple(_ints(line.split(), f"row under `{usage}`") for line in lines[1:])
+    if any(len(row) != width for row in rows):
+        raise InvalidInputError(f"`{usage}`: row width must equal {width}")
+    return x, width, rows
+
+
 def parse_dfa(text: str) -> Dfa:
     """Parse the "dfa" text format: header `dfa <t> <alphabet_size>`, then t rows."""
-    lines = _content_lines(text)
-    if not lines or not lines[0].startswith("dfa"):
-        raise InvalidInputError("expected `dfa <t> <alphabet_size>` header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise InvalidInputError("malformed dfa header")
-    t, k = _ints(head[1:], "dfa header")
-    if len(lines) != 1 + t:
-        raise InvalidInputError(f"expected {t} transition rows, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        row = _ints(line.split(), "dfa row")
-        if len(row) != k:
-            raise InvalidInputError("row width must equal alphabet_size")
-        rows.append(row)
-    return Dfa(t, k, tuple(rows))
+    t, k, rows = _table(_content_lines(text), "dfa <t> <alphabet_size>")
+    return Dfa(t, k, rows)
 
 
 def write_dfa(a: Dfa) -> str:

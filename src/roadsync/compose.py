@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .automata import Dfa, _content_lines, _ints, apply_word
+from .automata import Dfa, _content_lines, _header, _table, apply_word
 from .errors import InvalidInputError, SizeLimitError
 from .syncsolve import is_synchronizing, pin_bound, shortest_reset_word, syn_decide
 
@@ -437,30 +437,12 @@ def parse_batch(text: str) -> tuple[list[tuple[Dfa, int]], int]:
     """Parse the batch format: `batch <m> <t>`, then per item a header
     `item <d_i> <alphabet_size>` followed by t transition rows."""
     lines = _content_lines(text)
-    if not lines or not lines[0].startswith("batch"):
-        raise InvalidInputError("expected `batch <m> <t>` header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise InvalidInputError("malformed batch header")
-    m, t = _ints(head[1:], "batch header")
+    m, t = _header(lines, "batch <m> <t>")
     raw: list[tuple[Dfa, int]] = []
     pos = 1
     for _ in range(m):
-        if pos >= len(lines) or not lines[pos].startswith("item"):
-            raise InvalidInputError("expected `item <d> <alphabet_size>`")
-        parts = lines[pos].split()
-        if len(parts) != 3:
-            raise InvalidInputError("malformed item header")
-        d, k = _ints(parts[1:], "item header")
-        rows = []
-        for row_line in lines[pos + 1: pos + 1 + t]:
-            row = _ints(row_line.split(), "item row")
-            if len(row) != k:
-                raise InvalidInputError("item row width must equal its alphabet size")
-            rows.append(row)
-        if len(rows) != t:
-            raise InvalidInputError("item needs t transition rows")
-        raw.append((Dfa(t, k, tuple(rows)), d))
+        d, k, rows = _table(lines[pos: pos + 1 + t], "item <d> <alphabet_size>", t)
+        raw.append((Dfa(t, k, rows), d))
         pos += 1 + t
     if pos != len(lines):
         raise InvalidInputError("trailing content after the last item")

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .automata import Dfa, LETTER_CHARS, _content_lines, _ints
+from .automata import Dfa, LETTER_CHARS, _content_lines, _table
 from .errors import InvalidInputError
 
 
@@ -164,30 +164,15 @@ def is_admissible(g: Multigraph) -> bool:
     return is_aperiodic(g)
 
 
-def distance_layers(g: Multigraph, q: int) -> list[Optional[int]]:
-    """Shortest directed path length from each vertex to q (None if unreachable)."""
+def walk_layers(g: Multigraph, q: int, depth: int) -> list[frozenset[int]]:
+    """W_0..W_depth, where W_j holds the vertices with a walk of exactly j edges to q."""
     if not 0 <= q < g.t:
         raise InvalidInputError(f"vertex {q} out of range")
     preds = g.predecessors
-    dist: list[Optional[int]] = [None] * g.t
-    dist[q] = 0
-    frontier = [q]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for u in preds[v]:
-                if dist[u] is None:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
-def vertices_at_distance(g: Multigraph, q: int, i: int) -> frozenset[int]:
-    dist = distance_layers(g, q)
-    return frozenset(v for v in range(g.t) if dist[v] == i)
+    layers = [frozenset((q,))]
+    for _ in range(depth):
+        layers.append(frozenset(u for v in layers[-1] for u in preds[v]))
+    return layers
 
 
 def apply_coloring(g: Multigraph, c: Coloring) -> Dfa:
@@ -244,38 +229,13 @@ def enumerate_colorings(g: Multigraph) -> Iterator[Coloring]:
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("coloring needs uniform out-degree")
-    perms = list(permutations(range(d)))
-
-    def rec(v: int, acc: list[tuple[int, ...]]) -> Iterator[Coloring]:
-        if v == g.t:
-            yield Coloring(tuple(acc))
-            return
-        for p in perms:
-            acc.append(p)
-            yield from rec(v + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    yield from map(Coloring, product(permutations(range(d)), repeat=g.t))
 
 
 def parse_graph(text: str) -> Multigraph:
     """Parse the "graph" text format: header `graph <t> <d>`, then t slot rows."""
-    lines = _content_lines(text)
-    if not lines or not lines[0].startswith("graph"):
-        raise InvalidInputError("expected `graph <t> <d>` header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise InvalidInputError("malformed graph header")
-    t, d = _ints(head[1:], "graph header")
-    if len(lines) != 1 + t:
-        raise InvalidInputError(f"expected {t} rows, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        row = _ints(line.split(), "graph row")
-        if len(row) != d:
-            raise InvalidInputError("row width must equal out-degree")
-        rows.append(row)
-    return Multigraph(t, tuple(rows))
+    t, _, rows = _table(_content_lines(text), "graph <t> <d>")
+    return Multigraph(t, rows)
 
 
 def write_graph(g: Multigraph) -> str:

@@ -131,9 +131,9 @@ def augment_tautologies(f: Cnf3) -> Cnf3:
 
 
 @dataclass(frozen=True)
-class ReductionGraph:
-    graph: Multigraph
-    names: tuple[str, ...]
+class ReductionLayout:
+    """Vertex numbering of the reduction graph; the only place that owns it."""
+
     n: int
     m: int
 
@@ -145,10 +145,10 @@ class ReductionGraph:
         return 8 + 3 * (var - 1)
 
     def xbar(self, var: int) -> int:
-        return 8 + 3 * (var - 1) + 1
+        return self.x(var) + 1
 
     def w(self, var: int) -> int:
-        return 8 + 3 * (var - 1) + 2
+        return self.x(var) + 2
 
     def clause(self, j: int, r: int) -> int:
         return 8 + 3 * self.n + 5 * (j - 1) + r
@@ -156,6 +156,12 @@ class ReductionGraph:
     def literal_vertex(self, lit: Literal) -> int:
         var, neg = lit
         return self.xbar(var) if neg else self.x(var)
+
+
+@dataclass(frozen=True)
+class ReductionGraph(ReductionLayout):
+    graph: Multigraph
+    names: tuple[str, ...]
 
 
 def build_reduction(f: Cnf3) -> ReductionGraph:
@@ -169,14 +175,10 @@ def build_reduction(f: Cnf3) -> ReductionGraph:
     n, m = f.n, f.m
     if m < 1:
         raise InvalidInputError("need at least one clause")
-    rg_names = []
+    lay = ReductionLayout(n, m)
+    D = lay.d
     t = 5 * m + 3 * n + 8
     edges: list[tuple[int, int]] = [(0, 0)] * t
-
-    def D(i: int) -> int:
-        return i
-
-    first_c0 = 8 + 3 * n
     edges[D(0)] = (D(1), D(1))
     edges[D(1)] = (D(2), D(2))
     edges[D(2)] = (D(3), D(6))
@@ -184,32 +186,27 @@ def build_reduction(f: Cnf3) -> ReductionGraph:
     edges[D(4)] = (D(5), D(2))
     edges[D(5)] = (D(4), D(6))
     edges[D(6)] = (D(3), D(7))
-    edges[D(7)] = (first_c0, D(0))
-    rg_names.extend(f"D{i}" for i in range(8))
+    edges[D(7)] = (lay.clause(1, 0), D(0))
+    names = [f"D{i}" for i in range(8)]
 
     for var in range(1, n + 1):
-        x = 8 + 3 * (var - 1)
-        xbar, w = x + 1, x + 2
+        x, xbar, w = lay.x(var), lay.xbar(var), lay.w(var)
         edges[x] = (xbar, D(4))
         edges[xbar] = (w, D(4))
         edges[w] = (xbar, D(4))
-        rg_names.extend((f"x{var}", f"~x{var}", f"W{var}"))
+        names.extend((f"x{var}", f"~x{var}", f"W{var}"))
 
     for j in range(1, m + 1):
-        c = first_c0 + 5 * (j - 1)
-        nxt = first_c0 + 5 * (j % m)
-        lit = [
-            8 + 3 * (var - 1) + (1 if neg else 0) for var, neg in f.clauses[j - 1]
-        ]
-        edges[c + 0] = (c + 1, c + 2)
-        edges[c + 1] = (lit[0], lit[1])
-        edges[c + 2] = (lit[2], c + 3)
-        edges[c + 3] = (D(4), c + 4)
-        edges[c + 4] = (nxt + 0, D(5))
-        rg_names.extend(f"C{j},{r}" for r in range(5))
+        c = [lay.clause(j, r) for r in range(5)]
+        lit = [lay.literal_vertex(literal) for literal in f.clauses[j - 1]]
+        edges[c[0]] = (c[1], c[2])
+        edges[c[1]] = (lit[0], lit[1])
+        edges[c[2]] = (lit[2], c[3])
+        edges[c[3]] = (D(4), c[4])
+        edges[c[4]] = (lay.clause(j % m + 1, 0), D(5))
+        names.extend(f"C{j},{r}" for r in range(5))
 
-    graph = Multigraph(t, tuple(edges))
-    return ReductionGraph(graph, tuple(rg_names), n, m)
+    return ReductionGraph(n, m, Multigraph(t, tuple(edges)), tuple(names))
 
 
 # The intended reset word: letters a=0, b=1.
@@ -236,24 +233,31 @@ def extract_coloring(rg: ReductionGraph, assignment: Sequence[bool]) -> Coloring
     for i in range(8):
         slots[rg.d(i)] = _A_FIRST
 
-    def lit_satisfied(vertex: int) -> bool:
-        offset = (vertex - 8) % 3
-        var = (vertex - 8) // 3 + 1
-        value = assignment[var - 1]
-        return value if offset == 0 else not value
+    # Variable blocks, and the truth value of every literal vertex.
+    truth: dict[int, bool] = {}
+    for var in range(1, rg.n + 1):
+        x, xbar, w = rg.x(var), rg.xbar(var), rg.w(var)
+        value = truth[x] = assignment[var - 1]
+        truth[xbar] = not value
+        if value:
+            slots[x] = _A_FIRST           # a -> xbar, b -> D4
+            slots[xbar] = _B_FIRST        # a -> D4, b -> w
+            slots[w] = _A_FIRST           # a -> xbar, b -> D4
+        else:
+            slots[x] = _B_FIRST           # a -> D4, b -> xbar
+            slots[xbar] = _A_FIRST        # a -> w,  b -> D4
+            slots[w] = _B_FIRST           # a -> D4, b -> xbar
 
-    satisfied_any = True
     for j in range(1, rg.m + 1):
-        c0 = rg.clause(j, 0)
-        c1, c2 = rg.clause(j, 1), rg.clause(j, 2)
+        c0, c1, c2, c3, c4 = (rg.clause(j, r) for r in range(5))
         lit1, lit2 = g.out_edges[c1]
         lit3 = g.out_edges[c2][0]
-        sat = [lit_satisfied(v) for v in (lit1, lit2, lit3)]
+        sat = [truth[v] for v in (lit1, lit2, lit3)]
         if not any(sat):
             raise InvalidInputError(f"assignment does not satisfy clause {j}")
-        slots[rg.clause(j, 2)] = _B_FIRST  # a -> c3, b -> lit3 (constant)
-        slots[rg.clause(j, 3)] = _A_FIRST  # a -> D4, b -> c4 (constant)
-        slots[rg.clause(j, 4)] = _B_FIRST  # a -> D3, b -> next entry (constant)
+        slots[c2] = _B_FIRST              # a -> c3, b -> lit3 (constant)
+        slots[c3] = _A_FIRST              # a -> D4, b -> c4 (constant)
+        slots[c4] = _B_FIRST              # a -> D3, b -> next entry (constant)
         if sat[0]:
             slots[c0] = _A_FIRST          # a -> c1
             slots[c1] = _B_FIRST          # b -> lit1, a -> lit2
@@ -263,17 +267,6 @@ def extract_coloring(rg: ReductionGraph, assignment: Sequence[bool]) -> Coloring
         else:
             slots[c0] = _B_FIRST          # a -> c2, b -> c1
             slots[c1] = _A_FIRST          # a -> lit1 (unsatisfied, points at D4)
-
-    for var in range(1, rg.n + 1):
-        x, xbar, w = rg.x(var), rg.xbar(var), rg.w(var)
-        if assignment[var - 1]:
-            slots[x] = _A_FIRST           # a -> xbar, b -> D4
-            slots[xbar] = _B_FIRST        # a -> D4, b -> w
-            slots[w] = _A_FIRST           # a -> xbar, b -> D4
-        else:
-            slots[x] = _B_FIRST           # a -> D4, b -> xbar
-            slots[xbar] = _A_FIRST        # a -> w,  b -> D4
-            slots[w] = _B_FIRST           # a -> D4, b -> xbar
 
     coloring = Coloring(tuple(slots))
     dfa = apply_coloring(g, coloring)

@@ -234,6 +234,8 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
     multiedge (ties to the smallest target, deleting the highest slot), until
     the out-degree bound holds.  The vertex set never changes.
     """
+    if k < 0:
+        raise InvalidInputError("k must be >= 0")
     d = out_degree_uniform(g)
     if d is None or not is_admissible(g):
         raise InvalidInputError("kernelize is defined on admissible graphs")

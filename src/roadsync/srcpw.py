@@ -4,15 +4,16 @@ G_w is the set of out-degree-2 multigraphs admitting a coloring delta with
 |delta(Q, w)| = 1.  Membership is decided per target q by a duty fixpoint
 plus propagation-guided selection with a backtracking fallback (derived here,
 exact, and validated exhaustively against the brute-force oracle in the test
-suite).  The fixpoint's hit sets start from the backward walk layers of q,
-read off the graph's predecessor lists, and the fixpoint is the only target
-filter: it rejects every q that some vertex has no walk of exactly |w| edges
-to, so no distance search runs.  The search has no work budget: on some
-graphs with a planted length-3 coloring it runs for minutes, for example
+suite).  The fixpoint's hit sets start from the backward walk layers of q
+(`graphs.walk_layers`, cut at depth |w| - 1), and the fixpoint is the only
+target filter: it rejects every q that some vertex has no walk of exactly
+|w| edges to, so no distance search runs.  The search has no work budget: on
+some graphs with a planted length-3 coloring it runs for minutes, for example
 `planted_word_graph(random.Random(48), 200, "aba")` from
 `perfbench/workloads.py` with the word aba (see CHANGES.md).  The abb class
-additionally has the distance-layer characterization, which doubles as a
-witness construction, and the aaa class reduces to a self-loop plus three
+additionally has a characterization by V_2(q), the vertices at distance
+exactly 2 from q, which doubles as a witness construction; V_2(q) is read off
+the first three walk layers.  The aaa class reduces to a self-loop plus three
 backward layers.
 """
 
@@ -28,7 +29,7 @@ from .graphs import (
     apply_coloring,
     is_admissible,
     out_degree_uniform,
-    vertices_at_distance,
+    walk_layers,
 )
 
 
@@ -85,32 +86,30 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int) -> Optional[Coloring]:
     tgt = g.out_edges
     levels = range(1, L)
 
-    def duty_ok(v: int, sigma: int, i: int, hit: list[set[int]]) -> bool:
+    def duty_ok(v: int, sigma: int, i: int, hit: list[frozenset[int]]) -> bool:
         slot = sigma if w[i] == 0 else 1 - sigma
         target = tgt[v][slot]
         if i + 1 == L:
             return target == q
         return target in hit[i + 1]
 
-    # Seed hit[i] with the vertices that have a walk of exactly L - i edges
-    # to q.  Each vertex of the greatest fixpoint's hit[i] has one, so this
-    # seed lies above that fixpoint, as the set of all vertices does, and the
-    # loop (which only removes vertices) reaches the same hit sets from both.
+    # Seed hit[i] with W_{L-i}, the vertices that have a walk of exactly
+    # L - i edges to q (hit[0] is never read).  Each vertex of the greatest
+    # fixpoint's hit[i] has one, so this seed lies above that fixpoint, as the
+    # set of all vertices does, and the loop (which only removes vertices)
+    # reaches the same hit sets from both.
     # hit[1] then lies in the (L-1)-step backward cone, so the duty-0 check
     # after the loop rejects every q that a cone filter would skip.
-    hit: list[set[int]] = [set() for _ in range(L)]
-    layer = {q}
-    for i in reversed(levels):
-        layer = {u for v in layer for u in g.predecessors[v]}
-        hit[i] = layer
+    walks = walk_layers(g, q, L - 1)
+    hit = [frozenset()] + [walks[L - i] for i in levels]
     while True:
         changed = False
         for i in levels:
-            keep = {
+            keep = frozenset(
                 v for v in hit[i]
                 if any(duty_ok(v, s, 0, hit) and duty_ok(v, s, i, hit)
                        for s in (0, 1))
-            }
+            )
             if keep != hit[i]:
                 hit[i] = keep
                 changed = True
@@ -212,11 +211,17 @@ def decide_aba(g: Multigraph) -> bool:
     return (fixed_word_coloring(g, (0, 1, 0)) is not None) and not decide_aaa(g)
 
 
+def _distance_two(g: Multigraph, q: int) -> frozenset[int]:
+    """V_2(q): a vertex is at distance <= 1 from q iff it lies in W_0 or W_1."""
+    w0, w1, w2 = walk_layers(g, q, 2)
+    return w2 - w1 - w0
+
+
 def abb_witness_target(g: Multigraph) -> Optional[int]:
     """A vertex q such that every vertex has an out-edge into V_2(q), if any."""
     _require_outdeg2(g)
     for q in range(g.t):
-        v2 = vertices_at_distance(g, q, 2)
+        v2 = _distance_two(g, q)
         if all(any(u in v2 for u in ts) for ts in g.out_edges):
             return q
     return None
@@ -225,7 +230,7 @@ def abb_witness_target(g: Multigraph) -> Optional[int]:
 def abb_coloring_from_target(g: Multigraph, q: int) -> Coloring:
     """Label edges into V_2(q) with a (lower slot wins ties), the rest with b."""
     _require_outdeg2(g)
-    v2 = vertices_at_distance(g, q, 2)
+    v2 = _distance_two(g, q)
     slots = []
     for v in range(g.t):
         t0, t1 = g.out_edges[v]

@@ -67,6 +67,8 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
     Letters are expanded in increasing order, so among equal-length reset words
     the lexicographically least is returned; repeated calls are identical.
     """
+    if limit is not None and limit < 0:
+        raise InvalidInputError("limit must be >= 0")
     t = a.t
     full = (1 << t) - 1
     if t == 1:

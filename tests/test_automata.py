@@ -121,6 +121,14 @@ def test_dfa_text_roundtrip():
     assert parse_dfa(commented) == a
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_dfa_text_roundtrip_property(seed):
+    rng = random.Random(seed)
+    a = random_dfa(rng, rng.randint(1, 12), rng.randint(1, 4))
+    assert parse_dfa(write_dfa(a)) == a
+
+
 def test_dfa_text_rejects_garbage():
     with pytest.raises(InvalidInputError):
         parse_dfa("graph 2 2\n0 1\n1 0\n")

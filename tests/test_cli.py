@@ -191,6 +191,20 @@ def test_gen_compose_without_batch_is_exit_1(capsys):
     _assert_clean_exit_1(*run(capsys, "gen", "compose"))
 
 
+def test_srcp_kernel_negative_k_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(write_graph(make_graph([(0, 1), (0, 1)])))
+    _assert_clean_exit_1(*run(capsys, "srcp", "kernel", "--in", str(path),
+                              "--k", "-4"))
+
+
+def test_sync_shortest_negative_limit_is_exit_1(tmp_path, capsys):
+    dfa_path = tmp_path / "c4.txt"
+    run(capsys, "gen", "cerny", "--n", "4", "--out", str(dfa_path))
+    _assert_clean_exit_1(*run(capsys, "sync", "shortest", "--in", str(dfa_path),
+                              "--limit", "-2"))
+
+
 def test_unreadable_input_is_exit_1(tmp_path, capsys):
     binary = tmp_path / "g.bin"
     binary.write_bytes(b"graph 2 2\n\xff\xfe\n")

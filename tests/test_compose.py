@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadsync.automata import apply_word, make_dfa
 from roadsync.compose import (
@@ -227,6 +229,16 @@ def test_batch_text_roundtrip():
     parsed, t = parse_batch(text)
     assert t == 3
     assert parsed == raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_batch_text_roundtrip_property(seed):
+    rng = random.Random(seed)
+    t = rng.randint(1, 8)
+    raw = [(random_dfa(rng, t, rng.randint(1, 4)), rng.randrange(20))
+           for _ in range(rng.randint(0, 4))]
+    assert parse_batch(write_batch(raw, t)) == (raw, t)
 
 
 def test_names_json_shape():

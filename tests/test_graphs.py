@@ -12,7 +12,6 @@ from roadsync.graphs import (
     apply_coloring,
     coloring_count,
     coloring_from_index,
-    distance_layers,
     enumerate_colorings,
     is_admissible,
     is_aperiodic,
@@ -21,7 +20,7 @@ from roadsync.graphs import (
     out_degree_uniform,
     parse_graph,
     to_dot,
-    vertices_at_distance,
+    walk_layers,
     write_graph,
     write_graph_with_colors,
 )
@@ -75,28 +74,33 @@ def test_strong_connectivity():
     assert is_strongly_connected(make_graph([(1,), (2,), (0,)])) is True
 
 
-def test_distance_layers_path():
+def test_walk_layers_path():
     g = make_graph([(0,), (0,), (1,)])
-    assert distance_layers(g, 0) == [0, 1, 2]
-    assert vertices_at_distance(g, 0, 2) == frozenset({2})
+    assert walk_layers(g, 0, 2) == [
+        frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})
+    ]
+    assert walk_layers(g, 2, 0) == [frozenset({2})]
 
 
-def test_distance_layers_unreachable():
+def test_walk_layers_unreachable():
     g = make_graph([(0,), (0,)])
-    assert distance_layers(g, 1) == [None, 0]
+    assert walk_layers(g, 1, 3) == [frozenset({1})] + [frozenset()] * 3
+    with pytest.raises(InvalidInputError):
+        walk_layers(g, 2, 1)
 
 
-def test_distance_layers_shortest_path_property():
+def test_walk_layers_step_property():
+    # v has a walk of exactly j edges to q iff some out-edge of v lands in W_{j-1}.
     rng = random.Random(9)
     for _ in range(50):
-        g = random_multigraph(rng, rng.randint(2, 6), 2)
+        g = random_multigraph(rng, rng.randint(1, 6), rng.randint(1, 3))
         q = rng.randrange(g.t)
-        dist = distance_layers(g, q)
-        for v in range(g.t):
-            if dist[v] is None or dist[v] == 0:
-                continue
-            succ = [dist[u] for u in g.out_edges[v] if dist[u] is not None]
-            assert succ and min(succ) == dist[v] - 1
+        layers = walk_layers(g, q, 5)
+        assert len(layers) == 6 and layers[0] == frozenset({q})
+        for j in range(1, 6):
+            for v in range(g.t):
+                assert (v in layers[j]) == any(u in layers[j - 1]
+                                               for u in g.out_edges[v])
 
 
 def test_apply_coloring_functional_graph():
@@ -161,6 +165,14 @@ def test_coloring_must_be_bijection():
 
 def test_graph_text_roundtrip():
     g = make_graph([(1, 1), (0, 2), (2, 1)])
+    assert parse_graph(write_graph(g)) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_graph_text_roundtrip_property(seed):
+    rng = random.Random(seed)
+    g = random_multigraph(rng, rng.randint(1, 12), rng.randint(1, 4))
     assert parse_graph(write_graph(g)) == g
 
 

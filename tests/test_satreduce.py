@@ -2,6 +2,8 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadsync.automata import apply_word
 from roadsync.errors import InvalidInputError, SizeLimitError
@@ -54,6 +56,18 @@ def test_dimacs_roundtrip():
     assert parse_dimacs(text) == FIG_FORMULA
     with_comments = "c a comment\n" + text
     assert parse_dimacs(with_comments) == FIG_FORMULA
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_dimacs_roundtrip_property(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    f = Cnf3(n, tuple(
+        tuple((rng.randint(1, n), rng.random() < 0.5) for _ in range(3))
+        for _ in range(rng.randint(0, 8))
+    ))
+    assert parse_dimacs(write_dimacs(f)) == f
 
 
 def test_dimacs_rejects_malformed():

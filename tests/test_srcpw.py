@@ -4,14 +4,15 @@ from itertools import product
 
 import pytest
 
+from roadsync import srcpw
 from roadsync.automata import apply_word
 from roadsync.errors import InvalidInputError
 from roadsync.graphs import (
     Coloring,
     apply_coloring,
     coloring_from_index,
-    distance_layers,
     make_graph,
+    walk_layers,
 )
 from roadsync.srcp import srcp_oracle
 from roadsync.srcpw import (
@@ -256,8 +257,6 @@ def test_abb_witness_target_is_always_sound():
 
 
 def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
-    import roadsync.srcpw as srcpw
-
     calls = {"fixed_word_coloring": 0, "abb_witness_target": 0}
 
     def spy(name):
@@ -277,25 +276,36 @@ def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
     assert calls == {"fixed_word_coloring": 3, "abb_witness_target": 1}
 
 
-def test_fixed_word_coloring_runs_no_bfs(monkeypatch):
-    # Wrap distance_layers at every name it is bound to in roadsync, so that
-    # a call through any module counts.
-    calls = []
+def test_distance_two_matches_shortest_distances():
+    # Shortest distances to q by relaxation over out-edges, independent of
+    # the backward walk.
+    rng = random.Random(21)
+    for _ in range(200):
+        g = random_multigraph(rng, rng.randint(1, 10), 2)
+        q = rng.randrange(g.t)
+        dist = [0 if v == q else float("inf") for v in range(g.t)]
+        for _ in range(g.t):
+            dist = [min(dist[v], 1 + min(dist[u] for u in g.out_edges[v]))
+                    for v in range(g.t)]
+        expected = frozenset(v for v in range(g.t) if dist[v] == 2)
+        assert srcpw._distance_two(g, q) == expected
 
-    def spy(*args):
-        calls.append(args)
-        return distance_layers(*args)
+
+def test_k3_decide_walks_at_most_two_layers(monkeypatch):
+    # Wrap walk_layers at every name it is bound to in roadsync, so that a
+    # call through any module counts.
+    depths = []
+
+    def spy(g, q, depth):
+        depths.append(depth)
+        return walk_layers(g, q, depth)
 
     for name, module in list(sys.modules.items()):
         if name == "roadsync" or name.startswith("roadsync."):
             for attr, value in list(vars(module).items()):
-                if value is distance_layers:
+                if value is walk_layers:
                     monkeypatch.setattr(module, attr, spy)
     t = 12
     g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
-    abb_witness_target(g)
-    assert len(calls) == t  # the spy sees the BFS of the abb characterization
-    calls.clear()
-    for w in product((0, 1), repeat=3):
-        assert fixed_word_coloring(g, w) is None
-    assert calls == []
+    assert srcp_k3_decide(g) is False
+    assert depths and max(depths) <= 2
