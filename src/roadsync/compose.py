@@ -438,6 +438,8 @@ def parse_batch(text: str) -> tuple[list[tuple[Dfa, int]], int]:
     `item <d_i> <alphabet_size>` followed by t transition rows."""
     lines = _content_lines(text)
     m, t = _header(lines, "batch <m> <t>")
+    if m < 0 or t < 1:
+        raise InvalidInputError("batch needs m >= 0 items of t >= 1 states")
     raw: list[tuple[Dfa, int]] = []
     pos = 1
     for _ in range(m):

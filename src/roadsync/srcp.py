@@ -16,7 +16,6 @@ first-witness semantics.  It rests on two facts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -34,12 +33,13 @@ from .graphs import (
     is_aperiodic,
     out_degree_uniform,
 )
-from .srcpw import srcp_k3_decide
+from .srcpw import fixed_word_coloring, srcp_k3_decide
 from .syncsolve import pin_bound, shortest_reset_word
 
 # Full coloring enumeration is refused beyond this many colorings.
 ORACLE_COLORING_CAP = 1 << 26
-# Pattern-based decision enumerates t^t letter-target maps.
+# The pattern decision runs fixed_word_coloring, which has no work budget yet,
+# so it is refused above this many states.
 PATTERN_STATE_CAP = 4
 _SWEEP_CHUNK = 1 << 13
 # The vectorized sweep walks the 2^k words of length k depth-first, one image
@@ -276,25 +276,24 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
     return KernelResult(result, k, False, preserved)
 
 
-def _pattern_words(k: int) -> list[tuple[int, ...]]:
-    # Words over abstract letters 0,1,2 in first-occurrence order.
-    patterns = []
-    if k >= 1:
-        patterns.append((0,))
-    if k >= 2:
-        patterns.extend([(0, 0), (0, 1)])
-    if k >= 3:
-        patterns.extend([(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)])
-    return patterns
+def pattern_words(k: int, d: int) -> list[Word]:
+    """The words of length exactly k over letters below d, in ascending order,
+    whose letters appear in first-occurrence order (0 first, then 1, ...)."""
+    words: list[Word] = [()]
+    for _ in range(k):
+        words = [w + (x,) for w in words for x in range(min(d, max(w, default=-1) + 2))]
+    return words
 
 
 def srcp_exists_small_k(g: Multigraph, k: int) -> bool:
     """Complete SRCP decision for k <= 3 that never enumerates full colorings.
 
-    A word of length <= 3 uses at most 3 distinct letters, and a coloring is
-    per-vertex injective on them, so only the chosen targets (with edge
-    multiplicities) matter.  Letter-target maps are enumerated per abstract
-    word pattern; t is capped because the first letter ranges over t^t maps.
+    A reset word of length <= k pads to length exactly k, since a singleton
+    image stays a singleton.  Renaming letters maps colorings to colorings (a
+    coloring is a per-vertex bijection from slots to letters), so the letters
+    can be renamed into first-occurrence order.  SRCP(g, k) therefore holds
+    iff g lies in G_w for one of the pattern_words(k, d), and each class is
+    decided by fixed_word_coloring.
     """
     d = out_degree_uniform(g)
     if d is None:
@@ -305,71 +304,4 @@ def srcp_exists_small_k(g: Multigraph, k: int) -> bool:
         raise SizeLimitError(f"pattern decision capped at t={PATTERN_STATE_CAP}")
     if g.t == 1:
         return True
-    if k == 0:
-        return False
-    counts = [{u: ts.count(u) for u in set(ts)} for ts in g.out_edges]
-    supports = [sorted(c) for c in counts]
-    t = g.t
-    for pattern in _pattern_words(k):
-        distinct = max(pattern) + 1
-        if distinct > d:
-            continue
-        if distinct == 1:
-            length = len(pattern)
-            for amap in product(*(supports[v] for v in range(t))):
-                image = set(range(t))
-                for _ in range(length):
-                    image = {amap[v] for v in image}
-                if len(image) == 1:
-                    return True
-            continue
-        # Two or three distinct letters; first letter fixed as an a-map.
-        for amap in product(*(supports[v] for v in range(t))):
-            if _pattern_rest_feasible(g, counts, amap, pattern):
-                return True
-    return False
-
-
-def _pattern_rest_feasible(g: Multigraph, counts, amap, pattern) -> bool:
-    t = g.t
-    length = len(pattern)
-
-    def options(v: int, used: list[int]) -> list[int]:
-        out = []
-        for target, c in counts[v].items():
-            need = 1 + sum(1 for u in used if u == target)
-            if c >= need:
-                out.append(target)
-        return out
-
-    # Evolve the image, branching per-vertex only on letters beyond the first.
-    def walk(pos: int, image: frozenset[int], assign: dict[tuple[int, int], int]) -> bool:
-        if len(image) == 1:
-            return True
-        if pos == length:
-            return False
-        letter = pattern[pos]
-        if letter == 0:
-            nxt = frozenset(amap[v] for v in image)
-            return walk(pos + 1, nxt, assign)
-        todo = sorted(image)
-
-        def choose(i: int, acc: dict[tuple[int, int], int]) -> bool:
-            if i == len(todo):
-                nxt = frozenset(acc[(v, letter)] for v in todo)
-                return walk(pos + 1, nxt, acc)
-            v = todo[i]
-            if (v, letter) in acc:
-                return choose(i + 1, acc)
-            used = [amap[v]] + [acc[(v, l)] for l in range(1, letter)
-                                if (v, l) in acc]
-            for target in options(v, used):
-                acc2 = dict(acc)
-                acc2[(v, letter)] = target
-                if choose(i + 1, acc2):
-                    return True
-            return False
-
-        return choose(0, dict(assign))
-
-    return walk(0, frozenset(range(t)), {})
+    return any(fixed_word_coloring(g, w) is not None for w in pattern_words(k, d))

@@ -1,24 +1,33 @@
-"""Fixed-word road colorings on out-degree-2 graphs.
+"""Fixed-word road colorings.
 
-G_w is the set of out-degree-2 multigraphs admitting a coloring delta with
-|delta(Q, w)| = 1.  Membership is decided per target q by a duty fixpoint
-plus propagation-guided selection with a backtracking fallback (derived here,
-exact, and validated exhaustively against the brute-force oracle in the test
-suite).  The fixpoint's hit sets start from the backward walk layers of q
+G_w is the set of multigraphs of uniform out-degree d admitting a coloring
+delta with |delta(Q, w)| = 1, for a word w over letters below d.
+`fixed_word_coloring` decides membership for every d, per target q, by a duty
+fixpoint plus propagation-guided selection with a backtracking fallback over
+each vertex's choices of targets for the letters of w (derived here, exact,
+and validated against brute-force oracles in the test suite).  The
+fixpoint's hit sets start from the backward walk layers of q
 (`graphs.walk_layers`, cut at depth |w| - 1), and the fixpoint is the only
 target filter: it rejects every q that some vertex has no walk of exactly
 |w| edges to, so no distance search runs.  The search has no work budget: on
 some graphs with a planted length-3 coloring it runs for minutes, for example
 `planted_word_graph(random.Random(48), 200, "aba")` from
-`perfbench/workloads.py` with the word aba (see CHANGES.md).  The abb class
-additionally has a characterization by V_2(q), the vertices at distance
-exactly 2 from q, which doubles as a witness construction; V_2(q) is read off
-the first three walk layers.  The aaa class reduces to a self-loop plus three
-backward layers.
+`perfbench/workloads.py` with the word aba (see CHANGES.md).
+
+`decide_aaa`, `decide_aab` and `decide_aba` run at any out-degree through
+it; the rest is out-degree 2 only.  The abb class additionally has a
+characterization by V_2(q), the vertices at distance exactly 2 from q, which
+doubles as a witness construction; V_2(q) is read off the first three walk
+layers.  The aaa class reduces to a self-loop plus three backward layers.
+An abb witness recolors to an aba one, and SRCP at k = 3 is the union of the
+four classes aaa, aab, aba and abb.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+from itertools import product
 from typing import Optional, Sequence
 
 from .automata import Word, apply_word, word_from_str
@@ -53,42 +62,91 @@ def _require_outdeg2(g: Multigraph) -> None:
 
 
 def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
-    """Exact search for a coloring with |delta(Q, w)| = 1.
+    """Exact search for a coloring with |delta(Q, w)| = 1, for any out-degree d.
 
-    Per target q, a state active after i letters owes a duty: the edge it
-    assigns to letter w_i must land in the level-(i+1) hit set (level 0 binds
-    every state, level |w| is {q}).  A greatest fixpoint over per-state duty
-    viability prunes the hit sets, which start from the backward walk layers
-    of q; then the residual per-state binary slot choices are resolved by
-    demand propagation with backtracking.  There is no work budget (see the
-    module docstring for a graph where the search runs for minutes); returned
+    A vertex's choice is the tuple of targets it gives to the letters of w:
+    one injection of those letters into its d slots, each distinct tuple kept
+    once and named by the least slot-letter tuple that realizes it (see
+    `_choice_table`).  Per target q, a state active after i letters owes a
+    duty: the target its choice gives letter w_i must lie in the level-(i+1)
+    hit set (level 0 binds every state, level |w| is {q}).  A greatest
+    fixpoint over per-state duty viability prunes the hit sets, which start
+    from the backward walk layers of q; then the residual choices are
+    resolved by demand propagation with backtracking, vertices in index order
+    and choices in slot-letter order.  So the witness is, among the colorings
+    under which w maps every vertex to the least possible q, the first in
+    `enumerate_colorings` order.  There is no work budget (see the module
+    docstring for a graph where the search runs for minutes); returned
     colorings are always verified.
+
+    A reset word pads to any longer length (a singleton image stays a
+    singleton), and renaming letters maps colorings to colorings, so SRCP at
+    k is the union of G_w over the words of `srcp.pattern_words(k, d)`; that
+    is how `srcp.srcp_exists_small_k` decides it.
     """
-    _require_outdeg2(g)
-    for x in w:
-        if x not in (0, 1):
-            raise InvalidInputError("fixed-word search covers two-letter words")
-    if len(w) == 0:
-        return _trivial_coloring(g) if g.t == 1 else None
+    d = out_degree_uniform(g)
+    if d is None:
+        raise InvalidInputError("fixed-word search needs uniform out-degree")
+    w = tuple(w)
+    if any(not 0 <= x < d for x in w):
+        raise InvalidInputError(f"word letters must lie below the out-degree {d}")
+    if not w:
+        return Coloring((tuple(range(d)),)) if g.t == 1 else None
+    letters = tuple(sorted(set(w)))
+    choices = [_choice_table(tuple(map(ts.index, ts)), letters, d)
+               for ts in g.out_edges]
     for q in range(g.t):
-        coloring = _fixed_word_at(g, tuple(w), q)
+        coloring = _fixed_word_at(g, w, q, choices)
         if coloring is not None:
             return coloring
     return None
 
 
-def _trivial_coloring(g: Multigraph) -> Coloring:
-    return Coloring(tuple((0, 1) for _ in range(g.t)))
+# Bounded: an entry holds up to d^|letters| rows of d letters each.
+@lru_cache(maxsize=256)
+def _choice_table(shape: tuple[int, ...], letters: tuple[int, ...], d: int) -> tuple:
+    """The choices of a vertex whose slot s leads to the target named shape[s].
+
+    shape names each target by its first slot, so parallel edges share a name.
+    Each distinct letter-target tuple the slots can realize gives one choice:
+    the least slot-letter tuple realizing it, and the slot of each letter
+    under that tuple.  Returns both as parallel tuples in ascending
+    slot-letter order.  The least tuple is built slot by slot, taking the
+    least letter that leaves each pending letter a later slot of its target:
+    the least pending letter of this slot's target, or the least unused letter.
+    """
+    slot_count = Counter(shape)
+    rows = []
+    for xs in product(slot_count, repeat=len(letters)):
+        if any(xs.count(u) > slot_count[u] for u in xs):
+            continue
+        pending = dict(zip(letters, xs))
+        unused = [x for x in range(d) if x not in pending]
+        left, row = Counter(shape), []
+        for u in shape:
+            left[u] -= 1
+            mine = [x for x, v in pending.items() if v == u]
+            if unused and len(mine) <= left[u] and unused[0] < min(mine, default=d):
+                row.append(unused.pop(0))
+            else:
+                row.append(min(mine))
+                del pending[row[-1]]
+        rows.append(tuple(row))
+    rows.sort()
+    slots = tuple(tuple(sorted(range(d), key=row.__getitem__)) for row in rows)
+    return tuple(rows), slots
 
 
-def _fixed_word_at(g: Multigraph, w: Word, q: int) -> Optional[Coloring]:
+def _fixed_word_at(g: Multigraph, w: Word, q: int,
+                   choices: list[tuple]) -> Optional[Coloring]:
     t, L = g.t, len(w)
     tgt = g.out_edges
     levels = range(1, L)
 
-    def duty_ok(v: int, sigma: int, i: int, hit: list[frozenset[int]]) -> bool:
-        slot = sigma if w[i] == 0 else 1 - sigma
-        target = tgt[v][slot]
+    def duty_ok(v: int, slots: tuple[int, ...], i: int,
+                hit: list[frozenset[int]]) -> bool:
+        # slots[x] is the slot that carries letter x under one choice of v.
+        target = tgt[v][slots[w[i]]]
         if i + 1 == L:
             return target == q
         return target in hit[i + 1]
@@ -108,29 +166,28 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int) -> Optional[Coloring]:
             keep = frozenset(
                 v for v in hit[i]
                 if any(duty_ok(v, s, 0, hit) and duty_ok(v, s, i, hit)
-                       for s in (0, 1))
+                       for s in choices[v][1])
             )
             if keep != hit[i]:
                 hit[i] = keep
                 changed = True
         if not changed:
             break
-    if any(not duty_ok(v, 0, 0, hit) and not duty_ok(v, 1, 0, hit)
-           for v in range(t)):
+    # Any slot can carry letter w_0, so duty 0 holds iff an out-edge enters hit[1].
+    first = hit[1] if L > 1 else frozenset((q,))
+    if not all(any(u in first for u in ts) for ts in tgt):
         return None
 
-    # Exact selection: sigma per state plus the duty levels demanded of it by
-    # already-made choices.  Unassigned duty targets are judged optimistically
-    # through the hit sets, assigned ones exactly via requeueing.
+    # Exact selection: sigma (a choice index) per state plus the duty levels
+    # demanded of it by already-made choices.  Unassigned duty targets are
+    # judged optimistically through the hit sets, assigned ones exactly via
+    # requeueing.
     sigma: list[Optional[int]] = [None] * t
     demand: list[set[int]] = [{0} for _ in range(t)]
 
     def options(v: int) -> list[int]:
-        out = []
-        for s in (0, 1):
-            if all(duty_ok(v, s, i, hit) for i in demand[v]):
-                out.append(s)
-        return out
+        return [c for c, s in enumerate(choices[v][1])
+                if all(duty_ok(v, s, i, hit) for i in demand[v])]
 
     def propagate(queue: list[int], trail: list) -> bool:
         while queue:
@@ -139,18 +196,17 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int) -> Optional[Coloring]:
                 opts = options(v)
                 if not opts:
                     return False
-                if len(opts) == 2:
+                if len(opts) > 1:
                     continue
                 sigma[v] = opts[0]
                 trail.append(("sigma", v, None))
-            s = sigma[v]
+            s = choices[v][1][sigma[v]]
             if not all(duty_ok(v, s, i, hit) for i in demand[v]):
                 return False
             for i in list(demand[v]):
                 if i + 1 == L:
                     continue
-                slot = s if w[i] == 0 else 1 - s
-                u = tgt[v][slot]
+                u = tgt[v][s[w[i]]]
                 if i + 1 not in demand[u]:
                     demand[u].add(i + 1)
                     trail.append(("demand", u, i + 1))
@@ -184,8 +240,7 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int) -> Optional[Coloring]:
         return None
     if not search(0, trail):
         return None
-    slots = tuple((0, 1) if s == 0 else (1, 0) for s in sigma)
-    coloring = Coloring(slots)
+    coloring = Coloring(tuple(choices[v][0][s] for v, s in enumerate(sigma)))
     dfa = apply_coloring(g, coloring)
     if len(apply_word(dfa, dfa.full_set(), w)) == 1:
         return coloring

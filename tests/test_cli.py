@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadsync.cli import main
-from roadsync.automata import parse_dfa
-from roadsync.graphs import parse_graph, write_graph, make_graph
+from roadsync.automata import apply_word, cerny_automaton, parse_dfa, write_dfa
+from roadsync.graphs import Coloring, apply_coloring, parse_graph, write_graph, make_graph
 from roadsync.compose import write_batch
 from roadsync.satreduce import Cnf3, write_dimacs
 from roadsync.automata import Dfa
@@ -84,6 +91,27 @@ def test_srcpw_decide_with_witness(tmp_path, capsys):
     assert code == 0
     assert out.startswith("YES")
     assert "colors" in out
+
+
+def test_srcpw_decide_at_out_degree_3(tmp_path, capsys):
+    g = make_graph([(1, 1, 2), (2, 2, 0), (0, 0, 1)])
+    path = tmp_path / "g3.txt"
+    path.write_text(write_graph(g))
+    code, out, _ = run(capsys, "--json", "srcpw", "decide", "--word", "aba",
+                       "--in", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["answer"] is True
+    coloring = Coloring(tuple(tuple(row) for row in payload["witness_coloring"]))
+    dfa = apply_coloring(g, coloring)
+    assert len(apply_word(dfa, dfa.full_set(), (0, 1, 0))) == 1
+    # Rows of unequal out-degree, and a word with more letters than slots.
+    path.write_text("graph 2 2\n0 1\n1\n")
+    _assert_clean_exit_1(*run(capsys, "srcpw", "decide", "--word", "aba",
+                              "--in", str(path)))
+    path.write_text(write_graph(make_graph([(1,), (0,)])))
+    _assert_clean_exit_1(*run(capsys, "srcpw", "decide", "--word", "aba",
+                              "--in", str(path)))
 
 
 def test_gen_compose_pipeline(tmp_path, capsys):
@@ -233,3 +261,59 @@ def test_srcpw_word_is_canonicalized(tmp_path, capsys):
     assert outputs[0][0] == 0 and json.loads(outputs[0][1])["answer"] is True
     _assert_clean_exit_1(*run(capsys, "srcpw", "decide", "--word", "ab",
                               "--in", str(path)))
+
+
+def test_negative_batch_count_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "batch.txt"
+    for header in ("batch -3 2\n", "batch 0 0\n"):
+        path.write_text(header)
+        for command in ("gen", "verify"):
+            _assert_clean_exit_1(*run(capsys, command, "compose", "--batch", str(path)))
+    path.write_text("batch 0 2\n")
+    code, out, _ = run(capsys, "gen", "compose", "--batch", str(path))
+    assert code == 0 and out.strip() == "NO"
+
+
+# Small valid inputs, one per command; the property mutates their bytes.
+_FUZZ_SEEDS = {
+    ("sync", "check", "--in"): write_dfa(cerny_automaton(3)),
+    ("export", "dot", "--in"): write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
+    ("srcp", "kernel", "--k", "1", "--in"):
+        write_graph(make_graph([(0, 1, 1), (1, 0, 0)])),
+    ("gen", "compose", "--batch"):
+        write_batch([(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3),
+                     (Dfa(3, 2, ((0, 1), (0, 2), (1, 2))), 1)], 3),
+}
+
+
+@st.composite
+def _fuzz_case(draw):
+    argv = draw(st.sampled_from(sorted(_FUZZ_SEEDS)))
+    data = bytearray(_FUZZ_SEEDS[argv].encode())
+    if draw(st.integers(0, 4)) == 0:
+        data = bytearray(draw(st.binary(max_size=80)))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(data)))
+        chunk = draw(st.sampled_from([b"-", b"0", b"1", b"2", b"5", b"99", b" ",
+                                      b"\n", b"#", b"x", b"\xff", b""])
+                     | st.binary(max_size=3))
+        cut = draw(st.integers(0, 2))
+        data[pos:pos + cut] = chunk
+    return argv, bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_case())
+def test_cli_survives_mutated_input(case):
+    argv, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,7 @@ from roadsync.graphs import (
 )
 from roadsync.srcp import (
     kernelize,
+    pattern_words,
     srcp_decide,
     srcp_exists_small_k,
     srcp_oracle,
@@ -207,11 +209,26 @@ def test_kernel_soundness_small_oracle():
         assert srcp_exists_small_k(g, 3) == srcp_exists_small_k(res.graph, 3)
 
 
+def test_pattern_words():
+    assert [len(pattern_words(3, d)) for d in (1, 2, 3, 4)] == [1, 4, 5, 5]
+    assert len(pattern_words(4, 2)) == 8
+    for k in range(5):
+        for d in range(4):
+            words = pattern_words(k, d)
+            assert words == sorted(set(words))
+            # Every word of length k renames to exactly one pattern word.
+            renamed = set()
+            for w in product(range(d), repeat=k):
+                order = list(dict.fromkeys(w))
+                renamed.add(tuple(order.index(x) for x in w))
+            assert set(words) == renamed
+
+
 def test_pattern_decision_matches_oracle():
     rng = random.Random(13)
     for _ in range(120):
-        t = rng.randint(1, 3)
-        d = rng.randint(1, 3)
+        d = rng.randint(1, 4)
+        t = rng.randint(1, 2 if d == 4 else 3)
         g = random_multigraph(rng, t, d)
         for k in (0, 1, 2, 3):
             fast = srcp_exists_small_k(g, k)

@@ -11,6 +11,7 @@ from roadsync.graphs import (
     Coloring,
     apply_coloring,
     coloring_from_index,
+    enumerate_colorings,
     make_graph,
     walk_layers,
 )
@@ -102,6 +103,40 @@ def test_fixed_word_matches_oracle_random():
             if witness is not None:
                 dfa = apply_coloring(g, witness)
                 assert len(apply_word(dfa, dfa.full_set(), w)) == 1
+
+
+def test_fixed_word_coloring_matches_brute_force_any_out_degree():
+    # Plain enumeration: the witness must be the first coloring, in
+    # enumerate_colorings order, among those under which the word maps every
+    # vertex to the least target any coloring reaches.
+    rng = random.Random(61)
+    for d, graphs in ((1, 30), (2, 60), (3, 40)):
+        words = [w for n in range(4) for w in product(range(d), repeat=n)]
+        for _ in range(graphs):
+            g = random_multigraph(rng, rng.randint(1, 4), d)
+            first: dict = {}
+            for c in enumerate_colorings(g):
+                dfa = apply_coloring(g, c)
+                for w in words:
+                    image = apply_word(dfa, dfa.full_set(), w)
+                    if len(image) == 1 and min(image) < first.get(w, (g.t,))[0]:
+                        first[w] = (min(image), c)
+            for w in words:
+                witness = fixed_word_coloring(g, w)
+                assert witness == first.get(w, (None, None))[1], (g.out_edges, w)
+                if witness is not None:
+                    dfa = apply_coloring(g, witness)
+                    assert len(apply_word(dfa, dfa.full_set(), w)) == 1
+
+
+def test_fixed_word_coloring_validates_input():
+    g = make_graph([(0, 1), (1, 0)])
+    with pytest.raises(InvalidInputError):
+        fixed_word_coloring(g, (0, 2))
+    with pytest.raises(InvalidInputError):
+        fixed_word_coloring(g, (-1,))
+    with pytest.raises(InvalidInputError):
+        fixed_word_coloring(make_graph([(0, 1), (1,)]), (0,))
 
 
 def test_deciders_set_shapes():
