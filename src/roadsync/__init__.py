@@ -56,7 +56,6 @@ from .srcpw import (
     decide_abb,
     fixed_word_coloring,
     recolor_abb_to_aba,
-    srcp_k3_decide,
 )
 from .compose import (
     BatchItem,

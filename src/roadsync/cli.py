@@ -37,7 +37,7 @@ from .graphs import (
     write_graph_with_colors,
 )
 from .srcp import ORACLE_COLORING_CAP, kernelize, srcp_decide
-from .srcpw import canonical_word, fixed_word_coloring, srcp_k3_decide
+from .srcpw import canonical_word, fixed_word_coloring
 from .syncsolve import is_synchronizing, shortest_reset_word
 
 
@@ -128,7 +128,7 @@ def _cmd_srcp(args, out: _Output) -> int:
         if not args.outfile:
             out.raw(text.rstrip("\n"))
         return 0
-    out.answer(srcp_k3_decide(g))
+    out.answer(srcp_decide(g, 3))
     return 0
 
 

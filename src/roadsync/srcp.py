@@ -1,7 +1,8 @@
 """Synchronizing-road-coloring decisions: brute-force oracle, shortcuts, kernel.
 
-srcp_oracle is the ground truth everything else is validated against: it walks
-every coloring in enumeration order and asks for a reset word of length <= k.
+srcp_decide sends k <= 3 to srcp_exists_small_k and larger k to srcp_oracle,
+the ground truth everything else is validated against: it walks every
+coloring in enumeration order and asks for a reset word of length <= k.
 A numpy sweep accelerates the out-degree-2 case without changing the sequential
 first-witness semantics.  It rests on two facts:
 
@@ -33,14 +34,11 @@ from .graphs import (
     is_aperiodic,
     out_degree_uniform,
 )
-from .srcpw import fixed_word_coloring, srcp_k3_decide
+from .srcpw import abb_witness_target, fixed_word_coloring
 from .syncsolve import pin_bound, shortest_reset_word
 
 # Full coloring enumeration is refused beyond this many colorings.
 ORACLE_COLORING_CAP = 1 << 26
-# The pattern decision runs fixed_word_coloring, which has no work budget yet,
-# so it is refused above this many states.
-PATTERN_STATE_CAP = 4
 _SWEEP_CHUNK = 1 << 13
 # The vectorized sweep walks the 2^k words of length k depth-first, one image
 # array per depth (O(k * chunk) memory) and 2^(k+1) - 2 steps per chunk; the
@@ -199,7 +197,9 @@ def srcp_decide(g: Multigraph, k: int,
     """Decide SRCP on an admissible graph.
 
     k >= pin_bound(t) is an immediate yes: every admissible graph has a
-    synchronizing coloring and the bound caps its shortest reset word.
+    synchronizing coloring and the bound caps its shortest reset word.  k <= 3
+    goes to srcp_exists_small_k at any out-degree and size (SizeLimitError past
+    srcpw.SEARCH_NODE_BUDGET choices tried per class), larger k to srcp_oracle.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
@@ -207,13 +207,8 @@ def srcp_decide(g: Multigraph, k: int,
         raise InvalidInputError("srcp_decide is defined on admissible graphs")
     if k >= pin_bound(g.t):
         return True
-    d = out_degree_uniform(g)
-    if d == 2 and k == 3:
-        return srcp_k3_decide(g)
-    if coloring_count(g) > coloring_cap:
-        if k <= 3:
-            return srcp_exists_small_k(g, k)
-        raise SizeLimitError("instance too large for srcp_oracle and no fast path applies")
+    if k <= 3:
+        return srcp_exists_small_k(g, k)
     return srcp_oracle(g, k, coloring_cap=coloring_cap) is not None
 
 
@@ -293,15 +288,20 @@ def srcp_exists_small_k(g: Multigraph, k: int) -> bool:
     coloring is a per-vertex bijection from slots to letters), so the letters
     can be renamed into first-occurrence order.  SRCP(g, k) therefore holds
     iff g lies in G_w for one of the pattern_words(k, d), and each class is
-    decided by fixed_word_coloring.
+    decided by fixed_word_coloring, in order.  At d = 2 and k = 3 the last
+    word, abb, goes through abb_witness_target instead: a witness target is
+    always sound, and it exists for every member of G_abb outside G_aaa and
+    G_aba, which the earlier words cover.
     """
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("needs uniform out-degree")
     if k > 3:
         raise InvalidInputError("pattern decision only covers k <= 3")
-    if g.t > PATTERN_STATE_CAP:
-        raise SizeLimitError(f"pattern decision capped at t={PATTERN_STATE_CAP}")
     if g.t == 1:
         return True
-    return any(fixed_word_coloring(g, w) is not None for w in pattern_words(k, d))
+    words = pattern_words(k, d)
+    if d == 2 and k == 3:
+        return (any(fixed_word_coloring(g, w) is not None for w in words[:-1])
+                or abb_witness_target(g) is not None)
+    return any(fixed_word_coloring(g, w) is not None for w in words)

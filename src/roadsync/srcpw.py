@@ -9,18 +9,18 @@ and validated against brute-force oracles in the test suite).  The
 fixpoint's hit sets start from the backward walk layers of q
 (`graphs.walk_layers`, cut at depth |w| - 1), and the fixpoint is the only
 target filter: it rejects every q that some vertex has no walk of exactly
-|w| edges to, so no distance search runs.  The search has no work budget: on
-some graphs with a planted length-3 coloring it runs for minutes, for example
-`planted_word_graph(random.Random(48), 200, "aba")` from
-`perfbench/workloads.py` with the word aba (see CHANGES.md).
+|w| edges to, so no distance search runs.  The backtracking search has a work
+budget of SEARCH_NODE_BUDGET search nodes (choices tried) per call, over all
+targets; past it the call raises SizeLimitError instead of running for
+minutes.
 
 `decide_aaa`, `decide_aab` and `decide_aba` run at any out-degree through
 it; the rest is out-degree 2 only.  The abb class additionally has a
 characterization by V_2(q), the vertices at distance exactly 2 from q, which
 doubles as a witness construction; V_2(q) is read off the first three walk
 layers.  The aaa class reduces to a self-loop plus three backward layers.
-An abb witness recolors to an aba one, and SRCP at k = 3 is the union of the
-four classes aaa, aab, aba and abb.
+An abb witness recolors to an aba one.  SRCP at k <= 3 is a union of these
+classes, decided by `srcp.srcp_exists_small_k`.
 """
 
 from __future__ import annotations
@@ -31,15 +31,18 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .automata import Word, apply_word, word_from_str
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SizeLimitError
 from .graphs import (
     Coloring,
     Multigraph,
     apply_coloring,
-    is_admissible,
     out_degree_uniform,
     walk_layers,
 )
+
+# Search nodes (choices tried by the backtracking) one fixed_word_coloring
+# call may spend over all its targets before it refuses the graph.
+SEARCH_NODE_BUDGET = 100_000
 
 
 def canonical_word(text: str) -> Word:
@@ -75,8 +78,8 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
     resolved by demand propagation with backtracking, vertices in index order
     and choices in slot-letter order.  So the witness is, among the colorings
     under which w maps every vertex to the least possible q, the first in
-    `enumerate_colorings` order.  There is no work budget (see the module
-    docstring for a graph where the search runs for minutes); returned
+    `enumerate_colorings` order.  Raises SizeLimitError once the backtracking
+    has tried more than SEARCH_NODE_BUDGET choices over all targets; returned
     colorings are always verified.
 
     A reset word pads to any longer length (a singleton image stays a
@@ -95,8 +98,9 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
     letters = tuple(sorted(set(w)))
     choices = [_choice_table(tuple(map(ts.index, ts)), letters, d)
                for ts in g.out_edges]
+    budget = [SEARCH_NODE_BUDGET]
     for q in range(g.t):
-        coloring = _fixed_word_at(g, w, q, choices)
+        coloring = _fixed_word_at(g, w, q, choices, budget)
         if coloring is not None:
             return coloring
     return None
@@ -137,8 +141,9 @@ def _choice_table(shape: tuple[int, ...], letters: tuple[int, ...], d: int) -> t
     return tuple(rows), slots
 
 
-def _fixed_word_at(g: Multigraph, w: Word, q: int,
-                   choices: list[tuple]) -> Optional[Coloring]:
+def _fixed_word_at(g: Multigraph, w: Word, q: int, choices: list[tuple],
+                   budget: list[int]) -> Optional[Coloring]:
+    """The first coloring that resets by w to q; each choice tried spends 1 of budget[0]."""
     t, L = g.t, len(w)
     tgt = g.out_edges
     levels = range(1, L)
@@ -221,24 +226,43 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int,
             else:
                 demand[v].discard(payload)
 
-    def search(v: int, trail: list) -> bool:
+    def next_open(v: int) -> int:
         while v < t and sigma[v] is not None:
             v += 1
+        return v
+
+    def search(trail: list) -> bool:
+        # Depth-first over the undecided vertices in index order, one frame
+        # (vertex, its remaining options, trail mark) per decided vertex.
+        v = next_open(0)
         if v == t:
             return True
-        for s in options(v):
-            mark = len(trail)
+        stack = [(v, iter(options(v)), len(trail))]
+        while stack:
+            v, opts, mark = stack[-1]
+            undo(trail, mark)
+            s = next(opts, None)
+            if s is None:
+                stack.pop()
+                continue
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SizeLimitError(
+                    f"fixed-word search budget of {SEARCH_NODE_BUDGET} choices spent")
             sigma[v] = s
             trail.append(("sigma", v, None))
-            if propagate([v], trail) and search(v + 1, trail):
+            if not propagate([v], trail):
+                continue
+            v = next_open(v + 1)
+            if v == t:
                 return True
-            undo(trail, mark)
+            stack.append((v, iter(options(v)), len(trail)))
         return False
 
     trail: list = []
     if not propagate(list(range(t)), trail):
         return None
-    if not search(0, trail):
+    if not search(trail):
         return None
     coloring = Coloring(tuple(choices[v][0][s] for v, s in enumerate(sigma)))
     dfa = apply_coloring(g, coloring)
@@ -336,29 +360,3 @@ def recolor_abb_to_aba(g: Multigraph, c: Coloring) -> Coloring:
         else:
             slots.append(c.slot_letters[v])
     return Coloring(tuple(slots))
-
-
-def srcp_k3_decide(g: Multigraph) -> bool:
-    """SRCP with out-degree 2 and k = 3, via the four fixed-word classes."""
-    if not is_admissible(g):
-        raise InvalidInputError("srcp_k3_decide is defined on admissible graphs")
-    return srcp_k3_decide_unchecked(g)
-
-
-def srcp_k3_decide_unchecked(g: Multigraph) -> bool:
-    """Class union G_aaa | G_aab | G_aba | G_abb, each class evaluated once.
-
-    A reset word of length <= 3 pads with a to length 3 and starts with a up
-    to the color swap, so SRCP at k = 3 is this union.  The abb class goes
-    through its characterization: a witness target is always sound (the
-    constructed coloring resets by abb, whatever other class the graph is
-    in), and it exists for every member outside G_aaa | G_aba, which the
-    other three searches already cover.  No admissibility guard, so the
-    oracle comparisons can use any out-degree-2 graph.
-    """
-    _require_outdeg2(g)
-    return (
-        any(fixed_word_coloring(g, w) is not None
-            for w in ((0, 0, 0), (0, 0, 1), (0, 1, 0)))
-        or abb_witness_target(g) is not None
-    )

@@ -53,7 +53,6 @@ from roadsync.srcpw import (
     decide_aba,
     decide_abb,
     recolor_abb_to_aba,
-    srcp_k3_decide_unchecked,
 )
 from roadsync.syncsolve import (
     is_synchronizing,
@@ -275,7 +274,7 @@ def test_criterion_8_fixed_word_deciders():
             decide_aba(g) == (m[WORDS["aba"]] and not m[WORDS["aaa"]]),
             decide_abb(g) == (m[WORDS["abb"]] and not m[WORDS["aba"]]
                               and not m[WORDS["aaa"]]),
-            srcp_k3_decide_unchecked(g) == any(m.values()),
+            srcp_exists_small_k(g, 3) == any(m.values()),
         ]
         return all(oks)
 

@@ -2,17 +2,27 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
+import time
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadsync.cli import main
 from roadsync.automata import apply_word, cerny_automaton, parse_dfa, write_dfa
-from roadsync.graphs import Coloring, apply_coloring, parse_graph, write_graph, make_graph
+from roadsync.graphs import (
+    Coloring, apply_coloring, is_admissible, make_graph, parse_graph, write_graph,
+)
 from roadsync.compose import write_batch
 from roadsync.satreduce import Cnf3, write_dimacs
 from roadsync.automata import Dfa
+from roadsync.srcp import srcp_oracle
+
+from support import random_multigraph
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -57,6 +67,66 @@ def test_srcp_decide_and_k3(tmp_path, capsys):
     assert code == 0 and out.startswith("YES")
     code, out, _ = run(capsys, "srcp", "k3", "--in", str(path))
     assert code == 0 and out.startswith("YES")
+
+
+def test_srcp_decide_small_k_at_t100(tmp_path, capsys):
+    # v -> v+1, v+2 is admissible (cycles of 100, 99 and 50 edges), and the
+    # walks of exactly two edges from v end in v+2..v+4, so no target is
+    # common to every vertex and no coloring resets within two letters.
+    t = 100
+    path = tmp_path / "ring.txt"
+    path.write_text(write_graph(make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])))
+    for k in ("0", "1", "2"):
+        code, out, err = run(capsys, "srcp", "decide", "--in", str(path), "--k", k)
+        assert (code, out, err) == (0, "NO\n", "")
+
+
+def test_srcp_k3_at_out_degree_3(tmp_path, capsys):
+    rng = random.Random(3)
+    path = tmp_path / "g3.txt"
+    answers = set()
+    while len(answers) < 2:
+        g = random_multigraph(rng, 4, 3)
+        if not is_admissible(g):
+            continue
+        path.write_text(write_graph(g))
+        expected = srcp_oracle(g, 3, fast=False) is not None
+        code, out, _ = run(capsys, "srcp", "k3", "--in", str(path))
+        assert code == 0 and out == ("YES\n" if expected else "NO\n"), g.out_edges
+        answers.add(expected)
+
+
+def test_srcpw_decide_deep_search(tmp_path, capsys):
+    # Letter a sends every vertex into R = {1, 2, 3, 4} and R into S = {1, 2},
+    # b sends S to 0, and the other b-edges form one long path, so aab resets
+    # to 0 and the search decides thousands of vertices one below another.
+    t = 3000
+    a = [1 + v % 4 for v in range(t)]
+    a[1:5] = [1, 2, 1, 2]
+    b = {1: 0, 2: 0}
+    chain = [3, 4, 0, *range(5, t)]
+    b.update(zip(chain, chain[1:]))
+    b[t - 1] = 1
+    g = make_graph([(a[v], b[v]) if v % 2 else (b[v], a[v]) for v in range(t)])
+    path = tmp_path / "deep.txt"
+    path.write_text(write_graph(g))
+    code, out, err = run(capsys, "--json", "srcpw", "decide", "--word", "aab",
+                         "--in", str(path))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["answer"] is True
+    coloring = Coloring(tuple(tuple(row) for row in payload["witness_coloring"]))
+    dfa = apply_coloring(g, coloring)
+    assert len(apply_word(dfa, dfa.full_set(), (0, 0, 1))) == 1
+
+
+def test_srcpw_decide_search_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "srcpw", "decide", "--word", "aba",
+                         "--in", str(DATA / "planted_aba_t200.txt"))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("size limit:")
 
 
 def test_srcp_decide_rejects_inadmissible(tmp_path, capsys):
@@ -275,14 +345,25 @@ def test_negative_batch_count_is_exit_1(tmp_path, capsys):
 
 
 # Small valid inputs, one per command; the property mutates their bytes.
+_CNF = write_dimacs(Cnf3(1, (((1, False), (1, True), (1, True)),)))
 _FUZZ_SEEDS = {
     ("sync", "check", "--in"): write_dfa(cerny_automaton(3)),
+    ("sync", "shortest", "--limit", "4", "--in"): write_dfa(cerny_automaton(3)),
     ("export", "dot", "--in"): write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
     ("srcp", "kernel", "--k", "1", "--in"):
         write_graph(make_graph([(0, 1, 1), (1, 0, 0)])),
+    ("srcp", "decide", "--k", "3", "--in"):
+        write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
+    ("srcp", "k3", "--in"): write_graph(make_graph([(1, 1, 2), (2, 2, 0), (0, 0, 1)])),
+    ("srcpw", "decide", "--word", "aba", "--in"):
+        write_graph(make_graph([(1, 2), (2, 0), (0, 0)])),
     ("gen", "compose", "--batch"):
         write_batch([(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3),
                      (Dfa(3, 2, ((0, 1), (0, 2), (1, 2))), 1)], 3),
+    ("verify", "compose", "--batch"):
+        write_batch([(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3)], 3),
+    ("gen", "sat-reduce", "--in"): _CNF,
+    ("verify", "sat-reduce", "--in"): _CNF,
 }
 
 
@@ -302,7 +383,7 @@ def _fuzz_case(draw):
     return argv, bytes(data)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_fuzz_case())
 def test_cli_survives_mutated_input(case):
     argv, data = case

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from roadsync import srcp
-from roadsync.errors import InvalidInputError, SizeLimitError
+from roadsync.errors import InvalidInputError
 from roadsync.graphs import (
     Multigraph,
     apply_coloring,
@@ -234,11 +234,20 @@ def test_pattern_decision_matches_oracle():
             fast = srcp_exists_small_k(g, k)
             slow = srcp_oracle(g, k) is not None
             assert fast == slow, (g.out_edges, k, fast, slow)
+    # srcp_decide answers every k <= 3 below the pin bound through the pattern
+    # decision, at any out-degree; the plain enumeration is the independent
+    # check.  At k >= pin_bound(t) the shortcut answers yes, which needs strong
+    # connectivity that is_admissible does not check (see CHANGES.md).
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        g = admissible_random(rng, rng.randint(2, {1: 4, 2: 5, 3: 3, 4: 3}[d]), d)
+        for k in range(min(4, pin_bound(g.t))):
+            slow = srcp_oracle(g, k, fast=False) is not None
+            assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
 
 
 def test_pattern_decision_caps():
     g = random_multigraph(random.Random(0), 6, 2)
-    with pytest.raises(SizeLimitError):
-        srcp_exists_small_k(g, 3)
+    assert srcp_exists_small_k(g, 3) == (srcp_oracle(g, 3, fast=False) is not None)
     with pytest.raises(InvalidInputError):
         srcp_exists_small_k(make_graph([(0, 0)]), 4)

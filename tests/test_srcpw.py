@@ -1,21 +1,23 @@
 import random
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from roadsync import srcpw
+from roadsync import srcp, srcpw
 from roadsync.automata import apply_word
-from roadsync.errors import InvalidInputError
+from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.graphs import (
     Coloring,
     apply_coloring,
     coloring_from_index,
     enumerate_colorings,
     make_graph,
+    parse_graph,
     walk_layers,
 )
-from roadsync.srcp import srcp_oracle
+from roadsync.srcp import srcp_decide, srcp_exists_small_k, srcp_oracle
 from roadsync.srcpw import (
     abb_coloring_from_target,
     abb_witness_target,
@@ -26,8 +28,6 @@ from roadsync.srcpw import (
     decide_abb,
     fixed_word_coloring,
     recolor_abb_to_aba,
-    srcp_k3_decide,
-    srcp_k3_decide_unchecked,
 )
 
 from support import (
@@ -260,21 +260,21 @@ def test_srcp_k3_decide_matches_oracle():
     for _ in range(200):
         g = random_multigraph(rng, rng.randint(1, 5), 2)
         expected = srcp_oracle(g, 3) is not None
-        assert srcp_k3_decide_unchecked(g) == expected
+        assert srcp_exists_small_k(g, 3) == expected
 
 
 def test_srcp_k3_requires_admissible():
     with pytest.raises(InvalidInputError):
-        srcp_k3_decide(make_graph([(1, 1), (0, 0)]))
+        srcp_decide(make_graph([(1, 1), (0, 0)]), 3)
 
 
 def test_srcp_k3_on_admissible():
     g = make_graph([(0, 1), (0, 1)])
-    assert srcp_k3_decide(g) is True
+    assert srcp_decide(g, 3) is True
 
 
 def test_abb_witness_target_is_always_sound():
-    # srcp_k3_decide_unchecked counts any witness target as an abb member,
+    # srcp_exists_small_k counts any witness target as an abb member,
     # also on graphs in G_aaa or G_aba, so soundness must not need them absent.
     graphs = [g for t in (1, 2, 3, 4) for g in outdeg2_graphs_exhaustive(t)]
     rng = random.Random(13)
@@ -295,18 +295,18 @@ def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
     calls = {"fixed_word_coloring": 0, "abb_witness_target": 0}
 
     def spy(name):
-        original = getattr(srcpw, name)
+        original = getattr(srcp, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(srcpw, name, wrapper)
+        monkeypatch.setattr(srcp, name, wrapper)
 
     spy("fixed_word_coloring")
     spy("abb_witness_target")
     t = 12
     g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
-    assert srcp_k3_decide(g) is False
+    assert srcp_decide(g, 3) is False
     assert srcp_oracle(g, 3) is None
     assert calls == {"fixed_word_coloring": 3, "abb_witness_target": 1}
 
@@ -342,5 +342,14 @@ def test_k3_decide_walks_at_most_two_layers(monkeypatch):
                     monkeypatch.setattr(module, attr, spy)
     t = 12
     g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
-    assert srcp_k3_decide(g) is False
+    assert srcp_decide(g, 3) is False
     assert depths and max(depths) <= 2
+
+
+def test_fixed_word_search_budget():
+    # The graph lies in G_aba, but the search for aba backtracks through more
+    # than SEARCH_NODE_BUDGET choices and is refused instead of running on.
+    path = Path(__file__).parent / "data" / "planted_aba_t200.txt"
+    g = parse_graph(path.read_text())
+    with pytest.raises(SizeLimitError):
+        fixed_word_coloring(g, WORDS["aba"])
