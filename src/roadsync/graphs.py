@@ -120,19 +120,18 @@ def is_strongly_connected(g: Multigraph) -> bool:
 
 
 def is_aperiodic(g: Multigraph) -> bool:
-    """True iff the gcd of all cycle lengths is 1.
+    """True iff the gcd of all cycle lengths is 1."""
+    return _period(g, strongly_connected_components(g)) == 1
 
-    Per strongly connected component with at least one internal edge, take BFS
-    levels from any root and fold gcd(level(u)+1-level(v)) over internal edges;
-    the overall gcd across components is the graph's period.
-    """
+
+def _period(g: Multigraph, components: list[list[int]]) -> int:
+    """The gcd of the cycle lengths inside the given strongly connected components:
+    BFS levels from one root each, folded as gcd(level(u)+1-level(v)) over internal edges."""
     overall = 0
     saw_cycle = False
-    for comp in strongly_connected_components(g):
+    for comp in components:
         members = set(comp)
-        internal = [
-            (u, v) for u in comp for v in g.out_edges[u] if v in members
-        ]
+        internal = [(u, v) for u in comp for v in g.out_edges[u] if v in members]
         if not internal:
             continue
         saw_cycle = True
@@ -151,17 +150,19 @@ def is_aperiodic(g: Multigraph) -> bool:
             overall = math.gcd(overall, abs(level[u] + 1 - level[v]))
     if not saw_cycle:
         raise InvalidInputError("graph has no cycles; period undefined")
-    return overall == 1
+    return overall
 
 
 def is_admissible(g: Multigraph) -> bool:
-    """Uniform out-degree and aperiodic."""
-    d = out_degree_uniform(g)
-    if d is None:
+    """Uniform positive out-degree and one sink component, which is aperiodic:
+    exactly the graphs with a synchronizing coloring.  Two sinks never merge
+    and a coloring keeps the cyclic classes of a periodic sink; otherwise the
+    road coloring theorem synchronizes the sink, which every state reaches."""
+    if not out_degree_uniform(g):
         return False
-    if d == 0:
-        return False
-    return is_aperiodic(g)
+    sinks = [c for c in strongly_connected_components(g)
+             if {u for v in c for u in g.out_edges[v]} <= set(c)]
+    return len(sinks) == 1 and _period(g, sinks) == 1
 
 
 def walk_layers(g: Multigraph, q: int, depth: int) -> list[frozenset[int]]:

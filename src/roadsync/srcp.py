@@ -288,10 +288,10 @@ def srcp_exists_small_k(g: Multigraph, k: int) -> bool:
     coloring is a per-vertex bijection from slots to letters), so the letters
     can be renamed into first-occurrence order.  SRCP(g, k) therefore holds
     iff g lies in G_w for one of the pattern_words(k, d), and each class is
-    decided by fixed_word_coloring, in order.  At d = 2 and k = 3 the last
-    word, abb, goes through abb_witness_target instead: a witness target is
-    always sound, and it exists for every member of G_abb outside G_aaa and
-    G_aba, which the earlier words cover.
+    decided by fixed_word_coloring, in order.  At d = 2 and k = 3 the word
+    abb goes through abb_witness_target instead, after the others: a witness
+    target is always sound, and it exists for every member of G_abb outside
+    G_aaa and G_aba, which the earlier words cover.
     """
     d = out_degree_uniform(g)
     if d is None:
@@ -300,8 +300,7 @@ def srcp_exists_small_k(g: Multigraph, k: int) -> bool:
         raise InvalidInputError("pattern decision only covers k <= 3")
     if g.t == 1:
         return True
-    words = pattern_words(k, d)
-    if d == 2 and k == 3:
-        return (any(fixed_word_coloring(g, w) is not None for w in words[:-1])
-                or abb_witness_target(g) is not None)
-    return any(fixed_word_coloring(g, w) is not None for w in words)
+    abb_by_witness = d == 2 and k == 3
+    return (any(fixed_word_coloring(g, w) is not None for w in pattern_words(k, d)
+                if not (abb_by_witness and w == (0, 1, 1)))
+            or (abb_by_witness and abb_witness_target(g) is not None))

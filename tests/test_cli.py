@@ -138,6 +138,19 @@ def test_srcp_decide_rejects_inadmissible(tmp_path, capsys):
     assert "error" in err
 
 
+def test_srcp_rejects_graph_that_is_not_strongly_connected(tmp_path, capsys):
+    # Aperiodic with uniform out-degree, but two sink loops: no coloring
+    # synchronizes it, and k = 3 lies above pin_bound(2) = 1.
+    g = make_graph([(0, 0), (1, 1)])
+    assert srcp_oracle(g, 5, fast=False) is None
+    path = tmp_path / "sinks.txt"
+    path.write_text(write_graph(g))
+    for argv in (["k3"], ["decide", "--k", "1"], ["decide", "--k", "3"]):
+        code, out, err = run(capsys, "srcp", *argv, "--in", str(path))
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:"), argv
+
+
 def test_srcp_kernel_roundtrip(tmp_path, capsys):
     # t=3, out-degree 12: kernel reduces to 9
     rows = tuple(tuple([0, 1, 2] * 4) for _ in range(3))

@@ -66,6 +66,11 @@ def test_admissibility_split():
     assert is_admissible(make_graph([(0, 0)])) is True
     assert is_admissible(make_graph([(1, 1), (0, 0)])) is False  # periodic
     assert is_admissible(make_graph([(1,), (0, 1)])) is False    # non-uniform
+    assert is_admissible(make_graph([(0, 0), (1, 1)])) is False  # two sinks
+    assert is_admissible(make_graph([(0, 2), (1, 1), (0, 2)])) is False  # two sinks
+    assert is_admissible(make_graph([(1, 1), (0, 0), (2, 0)])) is False  # periodic sink
+    assert is_admissible(make_graph([(0, 1), (0, 0)])) is True
+    assert is_admissible(make_graph([(0, 0), (0, 0)])) is True   # one sink, {0}
 
 
 def test_strong_connectivity():

@@ -10,6 +10,7 @@ from roadsync.graphs import (
     apply_coloring,
     coloring_from_index,
     enumerate_colorings,
+    is_strongly_connected,
     make_graph,
     out_degree_uniform,
 )
@@ -148,6 +149,30 @@ def test_srcp_decide_pin_bound_shortcut():
         assert srcp_decide(g, pin_bound(g.t)) is True
 
 
+def test_pin_bound_shortcut_needs_one_aperiodic_sink():
+    # Two sink loops, and a 2-cycle sink below a loop: both are aperiodic
+    # overall with uniform out-degree, but no coloring synchronizes them, so
+    # the shortcut's yes at k >= pin_bound(t) would be wrong.
+    for rows in ([(0, 0), (1, 1)], [(1, 1), (0, 0), (2, 0)]):
+        g = make_graph(rows)
+        assert srcp_oracle(g, pin_bound(g.t), fast=False) is None
+        for k in (1, 3, pin_bound(g.t)):
+            with pytest.raises(InvalidInputError):
+                srcp_decide(g, k)
+        with pytest.raises(InvalidInputError):
+            kernelize(g, 1)
+    # One aperiodic sink below other states: the shortcut's yes is right.
+    rng = random.Random(8)
+    seen = 0
+    while seen < 20:
+        g = admissible_random(rng, rng.randint(2, 4), 2)
+        if is_strongly_connected(g):
+            continue
+        seen += 1
+        assert srcp_decide(g, pin_bound(g.t)) is True
+        assert srcp_oracle(g, pin_bound(g.t), fast=False) is not None
+
+
 def test_srcp_decide_monotone():
     rng = random.Random(31)
     for _ in range(20):
@@ -234,14 +259,13 @@ def test_pattern_decision_matches_oracle():
             fast = srcp_exists_small_k(g, k)
             slow = srcp_oracle(g, k) is not None
             assert fast == slow, (g.out_edges, k, fast, slow)
-    # srcp_decide answers every k <= 3 below the pin bound through the pattern
-    # decision, at any out-degree; the plain enumeration is the independent
-    # check.  At k >= pin_bound(t) the shortcut answers yes, which needs strong
-    # connectivity that is_admissible does not check (see CHANGES.md).
+    # srcp_decide answers every k <= 3 through the pin-bound shortcut or the
+    # pattern decision, at any out-degree; the plain enumeration is the
+    # independent check.
     for _ in range(40):
         d = rng.randint(1, 4)
         g = admissible_random(rng, rng.randint(2, {1: 4, 2: 5, 3: 3, 4: 3}[d]), d)
-        for k in range(min(4, pin_bound(g.t))):
+        for k in range(4):
             slow = srcp_oracle(g, k, fast=False) is not None
             assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
 
