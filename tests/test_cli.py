@@ -130,25 +130,17 @@ def test_srcpw_decide_search_budget(capsys):
 
 
 def test_srcp_decide_rejects_inadmissible(tmp_path, capsys):
-    g = make_graph([(1, 1), (0, 0)])
+    # A periodic 2-cycle, and two sink loops: aperiodic with uniform
+    # out-degree, but no coloring synchronizes it, and k = 3 lies above
+    # pin_bound(2) = 1.
+    assert srcp_oracle(make_graph([(0, 0), (1, 1)]), 5, fast=False) is None
     path = tmp_path / "bad.txt"
-    path.write_text(write_graph(g))
-    code, _, err = run(capsys, "srcp", "decide", "--in", str(path), "--k", "2")
-    assert code == 1
-    assert "error" in err
-
-
-def test_srcp_rejects_graph_that_is_not_strongly_connected(tmp_path, capsys):
-    # Aperiodic with uniform out-degree, but two sink loops: no coloring
-    # synchronizes it, and k = 3 lies above pin_bound(2) = 1.
-    g = make_graph([(0, 0), (1, 1)])
-    assert srcp_oracle(g, 5, fast=False) is None
-    path = tmp_path / "sinks.txt"
-    path.write_text(write_graph(g))
-    for argv in (["k3"], ["decide", "--k", "1"], ["decide", "--k", "3"]):
-        code, out, err = run(capsys, "srcp", *argv, "--in", str(path))
-        assert (code, out) == (1, ""), argv
-        assert err.startswith("error:"), argv
+    for rows in ([(1, 1), (0, 0)], [(0, 0), (1, 1)]):
+        path.write_text(write_graph(make_graph(rows)))
+        for argv in (["decide", "--k", "2"], ["decide", "--k", "1"], ["k3"]):
+            code, out, err = run(capsys, "srcp", *argv, "--in", str(path))
+            assert (code, out) == (1, ""), (rows, argv)
+            assert err.startswith("error:"), (rows, argv)
 
 
 def test_srcp_kernel_roundtrip(tmp_path, capsys):
