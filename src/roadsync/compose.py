@@ -385,6 +385,36 @@ def _to_item_letter(composed: ComposedAutomaton, i: int, letter: int) -> int:
     return letter - base + 1
 
 
+def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
+    """Every word of the given length (>= 1) that resets dfa, in product order.
+
+    A depth-first walk over all alphabet_size^length words that holds the
+    image of each prefix as a bitmask, so a word costs one image step, not
+    one pass over the whole word.
+    """
+    rows = [[1 << dfa.delta[s][x] for s in range(dfa.t)]
+            for x in range(dfa.alphabet_size)]
+    word = [0] * length
+    found: list[tuple[int, ...]] = []
+
+    def walk(depth: int, image: int) -> None:
+        for x, row in enumerate(rows):
+            word[depth] = x
+            nxt = 0
+            rem = image
+            while rem:
+                low = rem & -rem
+                nxt |= row[low.bit_length() - 1]
+                rem ^= low
+            if depth + 1 < length:
+                walk(depth + 1, nxt)
+            elif nxt & (nxt - 1) == 0:
+                found.append(tuple(word))
+
+    walk(0, (1 << dfa.t) - 1)
+    return found
+
+
 def verify_c1_c2_c3(composed: ComposedAutomaton,
                     batch: CompositionBatch,
                     word_cap: int = C2_WORD_CAP) -> C123Report:
@@ -406,13 +436,10 @@ def verify_c1_c2_c3(composed: ComposedAutomaton,
 
     c1 = shortest_reset_word(composed.dfa, limit=z) is None
 
-    full = composed.dfa.full_set()
-    reset_words = []
-    for word in product(range(n_letters), repeat=z + 1):
-        if len(apply_word(composed.dfa, full, word)) == 1:
-            reset_words.append(word)
+    reset_words = _reset_words_of_length(composed.dfa, z + 1)
     c2 = all(_word_matches_form(composed, batch, word) for word in reset_words)
 
+    full = composed.dfa.full_set()
     c3 = True
     assembled = 0
     for i in range(1, m + 1):

@@ -39,6 +39,10 @@ from .syncsolve import pin_bound, shortest_reset_word
 
 # Full coloring enumeration is refused beyond this many colorings.
 ORACLE_COLORING_CAP = 1 << 26
+# Colorings that srcp_oracle tries one at a time, one subset BFS each (30 to
+# 90 us per coloring at t = 6..12), are refused beyond this many: about half a
+# minute of work.  ORACLE_COLORING_CAP sizes the numpy sweep instead.
+ORACLE_ENUMERATION_CAP = 1 << 19
 _SWEEP_CHUNK = 1 << 13
 # The vectorized sweep walks the 2^k words of length k depth-first, one image
 # array per depth (O(k * chunk) memory) and 2^(k+1) - 2 steps per chunk; the
@@ -163,19 +167,24 @@ def srcp_oracle(g: Multigraph, k: int,
     """First coloring (in enumeration order) with a reset word of length <= k.
 
     Returns that coloring and its shortest reset word, or None.  Exhaustive:
-    this is the oracle the polynomial paths are validated against.
+    this is the oracle the polynomial paths are validated against.  The numpy
+    sweep (out-degree 2, k <= 8) is capped at coloring_cap colorings; the
+    one-by-one enumeration also at ORACLE_ENUMERATION_CAP.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("srcp_oracle needs uniform out-degree")
-    if coloring_count(g) > coloring_cap:
+    sweep = fast and d == 2 and g.t <= 64 and k <= _SWEEP_WORD_DEPTH_CAP
+    cap = coloring_cap if sweep else min(coloring_cap, ORACLE_ENUMERATION_CAP)
+    count = coloring_count(g)
+    if count > cap:
+        how = "swept" if sweep else "tried one by one"
         raise SizeLimitError(
-            f"srcp_oracle capped at {coloring_cap} colorings; "
-            f"this graph has {coloring_count(g)}"
+            f"srcp_oracle capped at {cap} colorings {how}; this graph has {count}"
         )
-    if fast and d == 2 and g.t <= 64 and k <= _SWEEP_WORD_DEPTH_CAP:
+    if sweep:
         for index in sweep_sync_indices(g, k):
             coloring = coloring_from_index(g, index)
             word = shortest_reset_word(apply_coloring(g, coloring), limit=k)

@@ -3,11 +3,17 @@
 The polynomial decision uses backward closure over state pairs; the exact
 search is a breadth-first walk over images of the full state set, packed as
 bitmasks.  The two are algorithmically independent, so they cross-validate.
+
+The walk steps a set through byte tables: per block of 8 states, a 256-row
+table maps the block's bits to their images under every letter, so the images
+of a set are one row per nonzero byte, OR-ed together.  The same step serves
+every width, masks of more than 64 states included.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import or_
 from typing import Optional
 
 from .automata import Dfa, Word
@@ -57,8 +63,30 @@ def is_synchronizing(a: Dfa) -> bool:
     return all(reached[pair_id(p, q)] for p in range(t) for q in range(p + 1, t))
 
 
-def _image_masks(a: Dfa) -> list[list[int]]:
-    return [[1 << a.delta[v][x] for v in range(a.t)] for x in range(a.alphabet_size)]
+def _byte_tables(a: Dfa) -> list[list[tuple[int, ...]]]:
+    """Image tables over 8-state blocks: tables[p][v][x] is the image, under
+    letter x, of the states 8p..8p+7 whose bits are set in the byte v.
+
+    Each letter's table is built by doubling over the block's states; the
+    letters are then zipped together, so one lookup per block gives the
+    images under every letter.  Letters that act alike on a block share one
+    table, as many letters of a composed automaton do on its guard cells.
+    """
+    blocks = []
+    for start in range(0, a.t, 8):
+        built: dict[tuple[int, ...], list[int]] = {}
+        per_letter = []
+        for x in range(a.alphabet_size):
+            targets = tuple(a.delta[v][x] for v in range(start, min(start + 8, a.t)))
+            table = built.get(targets)
+            if table is None:
+                table = built[targets] = [0]
+                for q in targets:
+                    bit = 1 << q
+                    table += [image | bit for image in table]
+            per_letter.append(table)
+        blocks.append(list(zip(*per_letter)))
+    return blocks
 
 
 def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
@@ -66,14 +94,19 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
 
     Letters are expanded in increasing order, so among equal-length reset words
     the lexicographically least is returned; repeated calls are identical.
+    The images of a set under all letters are the OR, over its nonzero bytes,
+    of one _byte_tables row each.
     """
     if limit is not None and limit < 0:
         raise InvalidInputError("limit must be >= 0")
     t = a.t
-    full = (1 << t) - 1
     if t == 1:
         return ()
-    bits = _image_masks(a)
+    if limit == 0:
+        return None
+    low, *high = _byte_tables(a)
+    high_blocks = list(zip(range(8, t, 8), high))
+    full = (1 << t) - 1
     parent: dict[int, tuple[int, int]] = {full: (-1, -1)}
     frontier = [full]
     level = 0
@@ -81,14 +114,12 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
         level += 1
         nxt_frontier = []
         for cur in frontier:
-            for x in range(a.alphabet_size):
-                row = bits[x]
-                nxt = 0
-                rem = cur
-                while rem:
-                    low = rem & -rem
-                    nxt |= row[low.bit_length() - 1]
-                    rem ^= low
+            images = low[cur & 255]
+            for shift, table in high_blocks:
+                byte = (cur >> shift) & 255
+                if byte:
+                    images = map(or_, images, table[byte])
+            for x, nxt in enumerate(images):
                 if nxt in parent:
                     continue
                 parent[nxt] = (cur, x)

@@ -87,6 +87,46 @@ def brute_shortest_reset(a: Dfa, max_len: int):
     return None
 
 
+def bitloop_shortest_reset_word(a: Dfa, limit: Optional[int] = None):
+    """Subset BFS with a per-bit image loop: the reference for the library's
+    byte-table BFS.  Same frontier order, parent choice and letter order, so
+    it returns the same word, not only the same length."""
+    t = a.t
+    full = (1 << t) - 1
+    if t == 1:
+        return ()
+    bits = [[1 << a.delta[v][x] for v in range(t)] for x in range(a.alphabet_size)]
+    parent = {full: (-1, -1)}
+    frontier = [full]
+    level = 0
+    while frontier and (limit is None or level < limit):
+        level += 1
+        nxt_frontier = []
+        for cur in frontier:
+            for x in range(a.alphabet_size):
+                row = bits[x]
+                nxt = 0
+                rem = cur
+                while rem:
+                    low = rem & -rem
+                    nxt |= row[low.bit_length() - 1]
+                    rem ^= low
+                if nxt in parent:
+                    continue
+                parent[nxt] = (cur, x)
+                if nxt & (nxt - 1) == 0:
+                    word = []
+                    node = nxt
+                    while parent[node][1] != -1:
+                        node, letter = parent[node]
+                        word.append(letter)
+                    word.reverse()
+                    return tuple(word)
+                nxt_frontier.append(nxt)
+        frontier = nxt_frontier
+    return None
+
+
 def all_reset_words_upto(a: Dfa, max_len: int):
     full = a.full_set()
     out = []

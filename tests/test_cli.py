@@ -129,6 +129,20 @@ def test_srcpw_decide_search_budget(capsys):
     assert err.startswith("size limit:")
 
 
+def test_srcp_decide_refuses_long_enumeration_up_front(tmp_path, capsys):
+    # Out-degree 3 at t = 10 has 6^10 = 60.5 M colorings: under the sweep's
+    # cap, but the one-by-one enumeration would take about an hour.
+    g = make_graph([((v + 1) % 10, (v + 2) % 10, 0) for v in range(10)])
+    assert is_admissible(g)
+    path = tmp_path / "g.txt"
+    path.write_text(write_graph(g))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "srcp", "decide", "--k", "4", "--in", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("size limit:")
+
+
 def test_srcp_decide_rejects_inadmissible(tmp_path, capsys):
     # A periodic 2-cycle, and two sink loops: aperiodic with uniform
     # out-degree, but no coloring synchronizes it, and k = 3 lies above
@@ -353,7 +367,7 @@ def test_negative_batch_count_is_exit_1(tmp_path, capsys):
 _CNF = write_dimacs(Cnf3(1, (((1, False), (1, True), (1, True)),)))
 _FUZZ_SEEDS = {
     ("sync", "check", "--in"): write_dfa(cerny_automaton(3)),
-    ("sync", "shortest", "--limit", "4", "--in"): write_dfa(cerny_automaton(3)),
+    ("sync", "shortest", "--in"): write_dfa(cerny_automaton(3)),
     ("export", "dot", "--in"): write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
     ("srcp", "kernel", "--k", "1", "--in"):
         write_graph(make_graph([(0, 1, 1), (1, 0, 0)])),
@@ -372,10 +386,20 @@ _FUZZ_SEEDS = {
 }
 
 
+# Flag sets drawn per command (after the action); --json is drawn for all.
+_FUZZ_FLAGS = {
+    ("sync", "shortest", "--in"):
+        [[], *(["--limit", str(v)] for v in (-1, 0, 1, 4, 2 ** 31))],
+}
+
+
 @st.composite
 def _fuzz_case(draw):
     argv = draw(st.sampled_from(sorted(_FUZZ_SEEDS)))
     data = bytearray(_FUZZ_SEEDS[argv].encode())
+    flags = draw(st.sampled_from(_FUZZ_FLAGS.get(argv, [[]])))
+    prefix = ["--json"] if draw(st.booleans()) else []
+    argv = (*prefix, *argv[:2], *flags, *argv[2:])
     if draw(st.integers(0, 4)) == 0:
         data = bytearray(draw(st.binary(max_size=80)))
     for _ in range(draw(st.integers(0, 3))):

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadsync.automata import apply_word, make_dfa
+from roadsync.automata import Dfa, apply_word, make_dfa
 from roadsync.compose import (
     BatchItem,
     CompositionBatch,
@@ -20,11 +21,12 @@ from roadsync.compose import (
     preprocess,
     verify_c1_c2_c3,
     write_batch,
+    _word_matches_form,
 )
 from roadsync.errors import InvalidInputError, SizeLimitError
-from roadsync.syncsolve import pin_bound, syn_decide
+from roadsync.syncsolve import pin_bound, shortest_reset_word, syn_decide
 
-from support import random_dfa
+from support import all_reset_words_upto, random_dfa
 
 
 def _random_raw(rng, t, m, max_d=None):
@@ -211,6 +213,60 @@ def test_verify_c1_c2_c3_yes_and_no_batches():
     assert report_no.all_pass
     assert report_no.reset_word_count == 0
     assert syn_decide(comp_no.dfa, comp_no.d_prime) is False
+
+
+def _reset_words_of_length(dfa, length):
+    """Reset words of exactly this length by plain enumeration, in product order."""
+    return [w for w in all_reset_words_upto(dfa, length) if len(w) == length]
+
+
+def _brute_c2(composed, batch):
+    """reset_word_count and c2 from the reset words of length z+1."""
+    words = _reset_words_of_length(composed.dfa, composed.z + 1)
+    return len(words), all(_word_matches_form(composed, batch, w) for w in words)
+
+
+def test_c2_walk_matches_brute_force():
+    rng = random.Random(29)
+    z = pin_bound(3)
+    counts = []
+    for m in (1, 2):
+        raw = _random_raw(rng, 3, m)
+        # Give the first item its own shortest reset length as budget when
+        # that is below z, so that some batches have short reset words.
+        w = shortest_reset_word(raw[0][0])
+        if w is not None and len(w) < z:
+            raw[0] = (raw[0][0], len(w))
+        batch = preprocess(raw, 3).batch
+        composed = compose(batch)
+        report = verify_c1_c2_c3(composed, batch)
+        expected = _brute_c2(composed, batch)
+        assert (report.reset_word_count, report.c2_all_shaped) == expected
+        counts.append(report.reset_word_count)
+    assert max(counts) > 0
+
+
+def test_c2_walk_flags_a_misshaped_reset_word():
+    # The item's one letter merges state 1 into 0 and fixes 2, so after
+    # alpha_1 y kappa kappa the base states left are {0, 2} and the guard cells
+    # sit on the bottom row; omega_1 sends 0 and that row to D.  Sending 2 to
+    # D under omega_1 as well makes this word reset, with a body y that does
+    # not reset the item.
+    batch = preprocess([(make_dfa([(0,), (0,), (2,)]), 1)], 3).batch
+    composed = compose(batch)
+    report = verify_c1_c2_c3(composed, batch)
+    assert report.all_pass
+    kappa = composed.kappa
+    word = (composed.alpha(1), composed.x_letter(1, 1), kappa, kappa, composed.omega(0))
+    assert not _word_matches_form(composed, batch, word)
+    rows = [list(row) for row in composed.dfa.delta]
+    rows[2][composed.omega(0)] = composed.dead
+    dfa = Dfa(composed.dfa.t, composed.dfa.alphabet_size, tuple(map(tuple, rows)))
+    mutated = dataclasses.replace(composed, dfa=dfa)
+    report = verify_c1_c2_c3(mutated, batch)
+    assert report.c2_all_shaped is False
+    assert word in _reset_words_of_length(dfa, composed.z + 1)
+    assert (report.reset_word_count, False) == _brute_c2(mutated, batch)
 
 
 def test_verify_size_guard():

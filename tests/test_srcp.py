@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from roadsync import srcp
-from roadsync.errors import InvalidInputError
+from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.graphs import (
     Multigraph,
     apply_coloring,
@@ -135,6 +135,18 @@ def test_fast_oracle_matches_plain_enumeration():
                 answers.append(fast)
     assert None in answers
     assert any(a is not None for a in answers)
+
+
+def test_oracle_caps_one_by_one_enumeration():
+    # 2^20 colorings: within the sweep's cap, past the one-by-one cap.
+    g = random_multigraph(random.Random(4), 20, 2)
+    assert srcp.ORACLE_ENUMERATION_CAP < 1 << 20 <= srcp.ORACLE_COLORING_CAP
+    with pytest.raises(SizeLimitError):
+        srcp_oracle(g, 4, fast=False)
+    with pytest.raises(SizeLimitError):
+        srcp_oracle(g, srcp._SWEEP_WORD_DEPTH_CAP + 1)
+    with pytest.raises(SizeLimitError):
+        srcp_oracle(random_multigraph(random.Random(4), 10, 3), 4)
 
 
 def test_srcp_decide_requires_admissible():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from roadsync.automata import apply_word, cerny_automaton, make_dfa
+from roadsync.compose import compose, preprocess
 from roadsync.errors import InvalidInputError
 from roadsync.syncsolve import (
     is_synchronizing,
@@ -11,7 +12,7 @@ from roadsync.syncsolve import (
     syn_decide,
 )
 
-from support import brute_shortest_reset, random_dfa
+from support import bitloop_shortest_reset_word, brute_shortest_reset, random_dfa
 
 
 def test_pin_bound_values():
@@ -92,3 +93,39 @@ def test_syn_decide_large_k_equals_synchronizability():
 
 def test_syn_decide_one_state():
     assert syn_decide(make_dfa([(0,)]), 0) is True
+
+
+def test_byte_table_bfs_matches_bitloop_oracle_random():
+    rng = random.Random(41)
+    for _ in range(200):
+        a = random_dfa(rng, rng.randint(1, 40), rng.randint(1, 4))
+        limit = rng.choice([None, *range(9)])
+        assert shortest_reset_word(a, limit) == bitloop_shortest_reset_word(a, limit), (
+            a.delta, limit)
+
+
+def test_byte_table_bfs_matches_bitloop_oracle_cerny():
+    for n in range(2, 14):
+        a = cerny_automaton(n)
+        w = shortest_reset_word(a)
+        assert w == bitloop_shortest_reset_word(a)
+        assert len(w) == (n - 1) ** 2
+
+
+def test_byte_table_bfs_matches_bitloop_oracle_composed():
+    # Composed automata of t = 4 batches have 71 (m = 4) and 93 (m = 8)
+    # states, so their state sets span more than 64 bits.
+    # Budgets of 0 make a batch whose answer is NO: no item of t = 4 states
+    # resets by the empty word.
+    rng = random.Random(23)
+    z = pin_bound(4)
+    answers = []
+    for m in (4, 8):
+        for top in (z, 1):
+            raw = [(random_dfa(rng, 4, 2), rng.randrange(top)) for _ in range(m)]
+            composed = compose(preprocess(raw, 4).batch)
+            assert composed.dfa.t > 64
+            w = shortest_reset_word(composed.dfa, composed.d_prime)
+            assert w == bitloop_shortest_reset_word(composed.dfa, composed.d_prime)
+            answers.append(w is not None)
+    assert True in answers and False in answers
