@@ -36,7 +36,7 @@ from .graphs import (
     write_graph,
     write_graph_with_colors,
 )
-from .srcp import ORACLE_COLORING_CAP, kernelize, srcp_decide
+from .srcp import kernelize, srcp_decide
 from .srcpw import canonical_word, fixed_word_coloring
 from .syncsolve import is_synchronizing, shortest_reset_word
 
@@ -113,7 +113,7 @@ def _cmd_sync(args, out: _Output) -> int:
 def _cmd_srcp(args, out: _Output) -> int:
     g = parse_graph(_read(args.infile))
     if args.action == "decide":
-        out.answer(srcp_decide(g, args.k, coloring_cap=args.coloring_cap))
+        out.answer(srcp_decide(g, args.k))
         return 0
     if args.action == "kernel":
         result = kernelize(g, args.k)
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srcp.add_argument("--in", dest="infile", required=True)
     p_srcp.add_argument("--k", type=int, default=0)
     p_srcp.add_argument("--out", dest="outfile", default=None)
-    p_srcp.add_argument("--coloring-cap", type=int, default=ORACLE_COLORING_CAP)
 
     p_srcpw = sub.add_parser("srcpw")
     p_srcpw.add_argument("action", choices=["decide"])

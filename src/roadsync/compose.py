@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import or_
 from typing import Optional, Sequence
 
 from .automata import Dfa, _content_lines, _header, _table, apply_word
 from .errors import InvalidInputError, SizeLimitError
-from .syncsolve import is_synchronizing, pin_bound, shortest_reset_word, syn_decide
+from .syncsolve import (_byte_tables, is_synchronizing, pin_bound,
+                        shortest_reset_word, syn_decide)
 
 # verify_c1_c2_c3 enumerates every word of length z(t)+1.
 C2_WORD_CAP = 10 ** 8
@@ -158,8 +160,9 @@ class ComposedAutomaton:
     def guard_cell_of(self, state: int) -> Optional[tuple[int, int, str]]:
         if state <= self.t:
             return None
-        h, col, flag = _unpack_guard(state, self.t, self.q)
-        return (h, col, "TF"[flag])
+        raw = state - self.t - 1
+        h, col = divmod(raw >> 1, self.q + 1)
+        return (h, col, "TF"[raw & 1])
 
     @property
     def kappa(self) -> int:
@@ -185,15 +188,14 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
     """Build the composed automaton A' with d' = z(t)+1.
 
     Letters: the shared identity kappa, the non-kappa letters of every item,
-    one selector alpha_i per item, and one omega_s per base state.
+    one selector alpha_i per item, and one omega_s per base state.  Each
+    state's row is written at once, one value per letter kind.
     """
     t, m = batch.t, batch.m
     if m >= 2 ** t:
         raise InvalidInputError("compose needs m < 2^t; use big_m_branch instead")
     z = pin_bound(t)
     q = pattern_width(m)
-    n_guard = 2 * (z + 1) * (q + 1)
-    n_states = t + 1 + n_guard
 
     sizes = tuple(item.dfa.alphabet_size for item in batch.items)
     offsets = []
@@ -205,94 +207,46 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
 
     subsets = [pattern_subset(i, m) for i in range(1, m + 1)]
     pis = [pattern_functions(i, m) for i in range(1, m + 1)]
-
     dead = t
+
+    # Base states: the items' letters, fixed by kappa and every alpha_i;
+    # omega_s sends s to the absorbing state D.
+    delta = []
+    for s in range(t):
+        row = [s]
+        for item in batch.items:
+            row += item.dfa.delta[s][1:]
+        row += [s] * m
+        row += [dead if s == s_bar else s for s_bar in range(t)]
+        delta.append(tuple(row))
+    delta.append((dead,) * n_letters)
+    state_names = [f"s{s + 1}" for s in range(t)] + ["D"]
 
     def guard(h: int, col: int, flag: int) -> int:
         return t + 1 + ((h * (q + 1) + col) * 2 + flag)
 
-    delta = [[0] * n_letters for _ in range(n_states)]
-
-    def set_letter(letter: int, mapping) -> None:
-        for s in range(n_states):
-            delta[s][letter] = mapping(s)
-
-    def base_case(state: int, on_base, on_guard):
-        if state == dead:
-            return dead
-        if state < t:
-            return on_base(state)
-        h, col, flag = _unpack_guard(state, t, q)
-        return on_guard(h, col, flag)
-
-    # kappa: identity on base states, one row down on the guard table with
-    # row 0 fixed and row z wrapping to row 0.
-    def kappa_map(state: int) -> int:
-        def on_guard(h, col, flag):
-            if 1 <= h <= z - 1:
-                return guard(h + 1, col, flag)
-            return guard(0, col, flag)
-        return base_case(state, lambda s: s, on_guard)
-
-    set_letter(0, kappa_map)
-
-    # x_{i,j}: the item's action on base states; on the guard table the rows
-    # 1..d_i step down inside the activity pattern and betray it otherwise.
-    for i in range(1, m + 1):
-        item = batch.items[i - 1]
-        inside = subsets[i - 1]
-
-        def x_map_factory(j: int):
-            def x_map(state: int) -> int:
-                def on_guard(h, col, flag):
-                    if 1 <= h <= item.d:
-                        if flag == 0:  # T
-                            if col in inside:
-                                return guard(h + 1, col, 0)
-                            return guard(0, col, 0)
-                        if col not in inside:
-                            return guard(h + 1, col, 1)
-                        return guard(0, col, 0)
-                    return guard(0, col, flag)
-                return base_case(state, lambda s: item.dfa.delta[s][j], on_guard)
-            return x_map
-
-        for j in range(1, item.dfa.alphabet_size):
-            set_letter(offsets[i - 1] + (j - 1), x_map_factory(j))
-
-    # alpha_i: fixes base states and stamps row 1 with the pattern of i.
-    alpha_base = cursor
-    for i in range(1, m + 1):
-        pi_t, pi_f = pis[i - 1]
-
-        def alpha_map(state: int, pi_t=pi_t, pi_f=pi_f) -> int:
-            def on_guard(h, col, flag):
-                if flag == 0:
-                    return guard(1, pi_t[col], 0)
-                return guard(1, pi_f[col], 1)
-            return base_case(state, lambda s: s, on_guard)
-
-        set_letter(alpha_base + (i - 1), alpha_map)
-
-    # omega_s: sends s and the bottom row to the absorbing state.
-    omega_base = alpha_base + m
-    for s_bar in range(t):
-        def omega_map(state: int, s_bar=s_bar) -> int:
-            def on_guard(h, col, flag):
-                if h == z:
-                    return dead
-                return guard(0, col, flag)
-            return base_case(state, lambda s: dead if s == s_bar else s, on_guard)
-
-        set_letter(omega_base + s_bar, omega_map)
-
-    dfa = Dfa(n_states, n_letters, tuple(tuple(row) for row in delta))
-
-    # guard(h, col, flag) numbers the cells in this loop order.
-    state_names = [f"s{s + 1}" for s in range(t)] + ["D"]
+    # Guard cells, numbered in this loop order.  kappa moves rows 1..z-1 one
+    # row down and sends rows 0 and z to row 0.  An x letter of item i moves
+    # rows 1..d_i down while the cell agrees with the activity pattern of i
+    # (T inside it, F outside) and drops to (0, col, T) otherwise; on the
+    # other rows it sends the cell to row 0.  alpha_i stamps the pattern of i
+    # onto row 1, and omega sends the bottom row to D and the rest to row 0.
     for h in range(z + 1):
         for col in range(q + 1):
             for flag in range(2):
+                to_row0 = guard(0, col, flag)
+                row = [guard(h + 1, col, flag) if 1 <= h < z else to_row0]
+                for item, inside, size in zip(batch.items, subsets, sizes):
+                    if not 1 <= h <= item.d:
+                        x = to_row0
+                    elif (col in inside) == (flag == 0):
+                        x = guard(h + 1, col, flag)
+                    else:
+                        x = guard(0, col, 0)
+                    row += [x] * (size - 1)
+                row += [guard(1, pi[flag][col], flag) for pi in pis]
+                row += [dead if h == z else to_row0] * t
+                delta.append(tuple(row))
                 state_names.append(f"({h},{col},{'TF'[flag]})")
 
     letter_names = ["kappa"]
@@ -303,7 +257,7 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
     letter_names += [f"omega{s + 1}" for s in range(t)]
 
     return ComposedAutomaton(
-        dfa=dfa,
+        dfa=Dfa(len(delta), n_letters, tuple(delta)),
         t=t,
         m=m,
         d_prime=z + 1,
@@ -314,14 +268,6 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
         item_letter_offsets=tuple(offsets),
         item_alphabet_sizes=sizes,
     )
-
-
-def _unpack_guard(state: int, t: int, q: int) -> tuple[int, int, int]:
-    raw = state - t - 1
-    flag = raw & 1
-    raw >>= 1
-    h, col = divmod(raw, q + 1)
-    return h, col, flag
 
 
 def compose_or_decide(raw: Sequence[tuple[Dfa, int]], t: int):
@@ -389,23 +335,23 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
     """Every word of the given length (>= 1) that resets dfa, in product order.
 
     A depth-first walk over all alphabet_size^length words that holds the
-    image of each prefix as a bitmask, so a word costs one image step, not
+    image of each prefix as a bitmask and steps it under every letter at once
+    through the subset BFS's byte tables, so a word costs one image step, not
     one pass over the whole word.
     """
-    rows = [[1 << dfa.delta[s][x] for s in range(dfa.t)]
-            for x in range(dfa.alphabet_size)]
+    low, *high = _byte_tables(dfa)
+    high_blocks = list(zip(range(8, dfa.t, 8), high))
     word = [0] * length
     found: list[tuple[int, ...]] = []
 
     def walk(depth: int, image: int) -> None:
-        for x, row in enumerate(rows):
+        images = low[image & 255]
+        for shift, table in high_blocks:
+            byte = (image >> shift) & 255
+            if byte:
+                images = map(or_, images, table[byte])
+        for x, nxt in enumerate(images):
             word[depth] = x
-            nxt = 0
-            rem = image
-            while rem:
-                low = rem & -rem
-                nxt |= row[low.bit_length() - 1]
-                rem ^= low
             if depth + 1 < length:
                 walk(depth + 1, nxt)
             elif nxt & (nxt - 1) == 0:

@@ -315,7 +315,7 @@ def verify_reduction(f: Cnf3, state_cap: int = ORACLE_STATE_CAP) -> ReductionRep
             f"verify_reduction sweeps 2^t colorings; t={t} exceeds cap {state_cap}"
         )
     assignment = sat_oracle(f)
-    witness = srcp_oracle(rg.graph, 4, coloring_cap=1 << state_cap)
+    witness = srcp_oracle(rg.graph, 4, coloring_cap=1 << t)
 
     witness_checked = False
     if assignment is not None:

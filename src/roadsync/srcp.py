@@ -201,8 +201,7 @@ def srcp_oracle(g: Multigraph, k: int,
     return None
 
 
-def srcp_decide(g: Multigraph, k: int,
-                coloring_cap: int = ORACLE_COLORING_CAP) -> bool:
+def srcp_decide(g: Multigraph, k: int) -> bool:
     """Decide SRCP on an admissible graph.
 
     k >= pin_bound(t) is an immediate yes: every admissible graph has a
@@ -218,7 +217,7 @@ def srcp_decide(g: Multigraph, k: int,
         return True
     if k <= 3:
         return srcp_exists_small_k(g, k)
-    return srcp_oracle(g, k, coloring_cap=coloring_cap) is not None
+    return srcp_oracle(g, k) is not None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ from typing import Optional
 import numpy as np
 
 from roadsync.automata import Dfa, apply_word
+from roadsync.compose import pattern_functions, pattern_subset, pattern_width
 from roadsync.graphs import Coloring, Multigraph, coloring_from_index
+from roadsync.syncsolve import pin_bound
 
 
 def random_dfa(rng: random.Random, t: int, k: int) -> Dfa:
@@ -125,6 +127,76 @@ def bitloop_shortest_reset_word(a: Dfa, limit: Optional[int] = None):
                 nxt_frontier.append(nxt)
         frontier = nxt_frontier
     return None
+
+
+def per_letter_compose_tables(batch):
+    """The guard-table composition built one letter at a time, one mapping
+    call per state: the reference for `compose`, which writes each state's
+    row at once.  Returns (delta, state_names, letter_names)."""
+    t, m = batch.t, batch.m
+    z = pin_bound(t)
+    q = pattern_width(m)
+    n_states = t + 1 + 2 * (z + 1) * (q + 1)
+    sizes = [item.dfa.alphabet_size for item in batch.items]
+    offsets = []
+    cursor = 1
+    for size in sizes:
+        offsets.append(cursor)
+        cursor += size - 1
+    n_letters = cursor + m + t
+    dead = t
+
+    def guard(h, col, flag):
+        return t + 1 + ((h * (q + 1) + col) * 2 + flag)
+
+    delta = [[0] * n_letters for _ in range(n_states)]
+
+    def set_letter(letter, on_base, on_guard):
+        for s in range(n_states):
+            if s == dead:
+                delta[s][letter] = dead
+            elif s < t:
+                delta[s][letter] = on_base(s)
+            else:
+                h, rest = divmod(s - t - 1, 2 * (q + 1))
+                delta[s][letter] = on_guard(h, rest // 2, rest % 2)
+
+    set_letter(0, lambda s: s, lambda h, col, flag:
+               guard(h + 1, col, flag) if 1 <= h <= z - 1 else guard(0, col, flag))
+
+    for i in range(1, m + 1):
+        item = batch.items[i - 1]
+        inside = pattern_subset(i, m)
+        for j in range(1, item.dfa.alphabet_size):
+            def on_guard(h, col, flag, item=item, inside=inside):
+                if 1 <= h <= item.d:
+                    if flag == 0:
+                        return guard(h + 1, col, 0) if col in inside else guard(0, col, 0)
+                    return guard(h + 1, col, 1) if col not in inside else guard(0, col, 0)
+                return guard(0, col, flag)
+            set_letter(offsets[i - 1] + j - 1,
+                       lambda s, item=item, j=j: item.dfa.delta[s][j], on_guard)
+
+    for i in range(1, m + 1):
+        pi_t, pi_f = pattern_functions(i, m)
+        set_letter(cursor + i - 1, lambda s: s, lambda h, col, flag, pi_t=pi_t, pi_f=pi_f:
+                   guard(1, pi_t[col], 0) if flag == 0 else guard(1, pi_f[col], 1))
+
+    for s_bar in range(t):
+        set_letter(cursor + m + s_bar, lambda s, s_bar=s_bar: dead if s == s_bar else s,
+                   lambda h, col, flag: dead if h == z else guard(0, col, flag))
+
+    state_names = [f"s{s + 1}" for s in range(t)] + ["D"]
+    for h in range(z + 1):
+        for col in range(q + 1):
+            for flag in "TF":
+                state_names.append(f"({h},{col},{flag})")
+    letter_names = ["kappa"]
+    for i in range(1, m + 1):
+        letter_names += [f"x{i},{j}" for j in range(1, sizes[i - 1])]
+    letter_names += [f"alpha{i}" for i in range(1, m + 1)]
+    letter_names += [f"omega{s + 1}" for s in range(t)]
+    return (tuple(map(tuple, delta)), tuple(state_names), tuple(letter_names))
 
 
 def all_reset_words_upto(a: Dfa, max_len: int):

@@ -7,7 +7,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from roadsync.cli import main
@@ -16,7 +16,14 @@ from roadsync.graphs import (
     Coloring, apply_coloring, is_admissible, make_graph, parse_graph, write_graph,
 )
 from roadsync.compose import write_batch
-from roadsync.satreduce import Cnf3, write_dimacs
+from roadsync.satreduce import (
+    ORACLE_STATE_CAP,
+    Cnf3,
+    augment_tautologies,
+    build_reduction,
+    parse_dimacs,
+    write_dimacs,
+)
 from roadsync.automata import Dfa
 from roadsync.srcp import srcp_oracle
 
@@ -339,6 +346,16 @@ def test_threads_flag_is_rejected(tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
+def test_coloring_cap_flag_is_rejected(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(write_graph(make_graph([(0, 1), (2, 0), (1, 1)])))
+    code, out, err = run(capsys, "srcp", "decide", "--k", "4", "--coloring-cap", "16",
+                         "--in", str(path))
+    assert code == 1
+    assert "usage:" in err and "error:" in err
+    assert "Traceback" not in out + err
+
+
 def test_srcpw_word_is_canonicalized(tmp_path, capsys):
     # bba is decided as aab: same answer and the same witness coloring, which
     # on this graph differs from the coloring a bba search would return.
@@ -371,7 +388,7 @@ _FUZZ_SEEDS = {
     ("export", "dot", "--in"): write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
     ("srcp", "kernel", "--k", "1", "--in"):
         write_graph(make_graph([(0, 1, 1), (1, 0, 0)])),
-    ("srcp", "decide", "--k", "3", "--in"):
+    ("srcp", "decide", "--in"):
         write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
     ("srcp", "k3", "--in"): write_graph(make_graph([(1, 1, 2), (2, 2, 0), (0, 0, 1)])),
     ("srcpw", "decide", "--word", "aba", "--in"):
@@ -390,7 +407,19 @@ _FUZZ_SEEDS = {
 _FUZZ_FLAGS = {
     ("sync", "shortest", "--in"):
         [[], *(["--limit", str(v)] for v in (-1, 0, 1, 4, 2 ** 31))],
+    ("srcp", "decide", "--in"): [["--k", str(v)] for v in (-1, 0, 3, 4, 2 ** 31)],
+    ("verify", "sat-reduce", "--in"):
+        [[], *(["--state-cap", str(v)] for v in (-1, 0, 16, 26, 2 ** 31))],
 }
+
+
+def _swept_states(data: bytes) -> int:
+    """States of the reduction graph `verify sat-reduce` sweeps, or 0."""
+    try:
+        text = io.StringIO(data.decode(), newline=None).read()
+        return build_reduction(augment_tautologies(parse_dimacs(text))).graph.t
+    except (ValueError, RuntimeError):
+        return 0
 
 
 @st.composite
@@ -399,6 +428,7 @@ def _fuzz_case(draw):
     data = bytearray(_FUZZ_SEEDS[argv].encode())
     flags = draw(st.sampled_from(_FUZZ_FLAGS.get(argv, [[]])))
     prefix = ["--json"] if draw(st.booleans()) else []
+    unbounded = argv[:2] == ("verify", "sat-reduce") and flags[1:] == [str(2 ** 31)]
     argv = (*prefix, *argv[:2], *flags, *argv[2:])
     if draw(st.integers(0, 4)) == 0:
         data = bytearray(draw(st.binary(max_size=80)))
@@ -409,6 +439,11 @@ def _fuzz_case(draw):
                      | st.binary(max_size=3))
         cut = draw(st.integers(0, 2))
         data[pos:pos + cut] = chunk
+    if unbounded:
+        # Under this cap a mutated header can make a reduction graph of 27 to
+        # 64 states, which is then swept in full: 2^(t-1) colorings, past
+        # 100 s at t = 40.  That is the work the cap asks for, not a boundary.
+        assume(not ORACLE_STATE_CAP < _swept_states(bytes(data)) <= 64)
     return argv, bytes(data)
 
 

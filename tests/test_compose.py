@@ -26,7 +26,7 @@ from roadsync.compose import (
 from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.syncsolve import pin_bound, shortest_reset_word, syn_decide
 
-from support import all_reset_words_upto, random_dfa
+from support import all_reset_words_upto, per_letter_compose_tables, random_dfa
 
 
 def _random_raw(rng, t, m, max_d=None):
@@ -129,6 +129,27 @@ def test_compose_size_identity_grid():
             assert comp.dfa.t == t + 1 + 2 * (z + 1) * (q + 1)
             assert comp.d_prime == z + 1
             assert comp.dfa.t <= t + 1 + 2 * (z + 1) * (t + 3)
+
+
+def test_compose_matches_per_letter_reference():
+    # Random batches, with the benchmark's gen shapes (t = 4, m = 12 and
+    # t = 5, m = 28) among them, items of 1..3 letters besides kappa.
+    rng = random.Random(41)
+    shapes = [(4, 12), (5, 28), (4, 12), (5, 28)]
+    for _ in range(60):
+        t = rng.randint(2, 5)
+        shapes.append((t, rng.randint(1, min(2 ** t - 1, 12))))
+    for t, m in shapes:
+        z = pin_bound(t)
+        items = tuple(
+            BatchItem(add_identity_letter(random_dfa(rng, t, rng.randint(1, 3))),
+                      rng.randrange(0, z))
+            for _ in range(m)
+        )
+        batch = CompositionBatch(t, items)
+        comp = compose(batch)
+        assert (comp.dfa.delta, comp.state_names, comp.letter_names) == \
+            per_letter_compose_tables(batch), (t, m)
 
 
 def test_compose_93_state_example():

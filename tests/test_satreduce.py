@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -194,6 +195,21 @@ def test_verify_reduction_tiny_instances():
 def test_verify_reduction_cap():
     with pytest.raises(SizeLimitError):
         verify_reduction(FIG_FORMULA)  # 35 states > default cap
+
+
+def test_verify_reduction_state_cap_is_not_materialized():
+    # A state cap of 2^24 once became the 2 MiB integer 1 << 2^24 before the
+    # sweep started; the traced peak must not grow with the cap.
+    sat_one = Cnf3(1, (clause(1, -1, -1),))
+    peaks = []
+    for cap in (26, 2 ** 24):
+        tracemalloc.start()
+        try:
+            assert verify_reduction(sat_one, state_cap=cap).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (1 << 20), peaks
 
 
 def test_word_shape_and_rigidity_small():
