@@ -9,12 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SizeLimitError
 
 Word = tuple[int, ...]
 StateSet = frozenset[int]
 
 LETTER_CHARS = "abcdefghijklmnopqrstuvwxyz"
+CERNY_STATE_CAP = 10 ** 6  # about 250 B per state: 254 MiB RSS at n = 10^6
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ def cerny_automaton(n: int) -> Dfa:
     """
     if n < 2:
         raise InvalidInputError("cerny_automaton needs n >= 2")
+    if n > CERNY_STATE_CAP:
+        raise SizeLimitError(f"cerny_automaton capped at n={CERNY_STATE_CAP}")
     rows = []
     for i in range(n):
         rows.append((1 if i == 0 else i, (i + 1) % n))

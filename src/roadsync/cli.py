@@ -199,7 +199,7 @@ def _cmd_verify(args, out: _Output) -> int:
         })
         return 0
     f = satreduce.parse_dimacs(_read(_needed(args, "infile", "--in")))
-    report = satreduce.verify_reduction(f, state_cap=args.state_cap)
+    report = satreduce.verify_reduction(f)
     out.answer(report.ok)
     out.report({
         "satisfiable": report.satisfiable,
@@ -258,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("action", choices=["compose", "sat-reduce"])
     p_verify.add_argument("--batch", default=None)
     p_verify.add_argument("--in", dest="infile", default=None)
-    p_verify.add_argument("--state-cap", type=int, default=satreduce.ORACLE_STATE_CAP)
 
     p_export = sub.add_parser("export")
     p_export.add_argument("action", choices=["dot"])

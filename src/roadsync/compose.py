@@ -362,8 +362,7 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
 
 
 def verify_c1_c2_c3(composed: ComposedAutomaton,
-                    batch: CompositionBatch,
-                    word_cap: int = C2_WORD_CAP) -> C123Report:
+                    batch: CompositionBatch) -> C123Report:
     """Exhaustively check the three guard-table guarantees on a small instance.
 
     C1: no reset word of length <= z(t).  C2: every reset word of length
@@ -377,8 +376,8 @@ def verify_c1_c2_c3(composed: ComposedAutomaton,
             f"m<={VERIFY_ITEM_CAP}"
         )
     n_letters = composed.dfa.alphabet_size
-    if n_letters ** (z + 1) > word_cap:
-        raise SizeLimitError(f"word enumeration above cap {word_cap}")
+    if n_letters ** (z + 1) > C2_WORD_CAP:
+        raise SizeLimitError(f"word enumeration above cap {C2_WORD_CAP}")
 
     c1 = shortest_reset_word(composed.dfa, limit=z) is None
 

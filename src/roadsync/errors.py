@@ -3,4 +3,4 @@ class InvalidInputError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """Raised when an exhaustive search would exceed its documented cap."""
+    """Raised when a search or a build would exceed its documented size cap."""

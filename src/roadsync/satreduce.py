@@ -46,8 +46,8 @@ from .srcp import srcp_oracle
 Literal = tuple[int, bool]  # (variable index 1..n, negated)
 Clause = tuple[Literal, Literal, Literal]
 
-# verify_reduction sweeps all 2^t colorings; beyond this the sweep is refused.
-ORACLE_STATE_CAP = 26
+# sat_oracle tries all 2^n assignments; beyond this it is refused.
+SAT_ORACLE_VAR_CAP = 25
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,11 @@ def extract_coloring(rg: ReductionGraph, assignment: Sequence[bool]) -> Coloring
     return coloring
 
 
-def sat_oracle(f: Cnf3, var_cap: int = 25) -> Optional[tuple[bool, ...]]:
+def sat_oracle(f: Cnf3) -> Optional[tuple[bool, ...]]:
     """Truth-table search; returns the least satisfying assignment in binary
     order (variable 1 is the least significant bit), or None."""
-    if f.n > var_cap:
-        raise SizeLimitError(f"sat_oracle capped at {var_cap} variables")
+    if f.n > SAT_ORACLE_VAR_CAP:
+        raise SizeLimitError(f"sat_oracle capped at {SAT_ORACLE_VAR_CAP} variables")
     for bits in range(1 << f.n):
         assignment = tuple(bool((bits >> i) & 1) for i in range(f.n))
         if f.satisfied_by(assignment):
@@ -305,17 +305,13 @@ class ReductionReport:
                 and (self.witness_checked or not self.satisfiable))
 
 
-def verify_reduction(f: Cnf3, state_cap: int = ORACLE_STATE_CAP) -> ReductionReport:
+def verify_reduction(f: Cnf3) -> ReductionReport:
     """Check SAT <=> SRCP(G, 4) by brute force, plus the structural contracts."""
     augmented = augment_tautologies(f)
     rg = build_reduction(augmented)
-    t = rg.graph.t
-    if t > state_cap:
-        raise SizeLimitError(
-            f"verify_reduction sweeps 2^t colorings; t={t} exceeds cap {state_cap}"
-        )
+    # First, so that the sweep cap refuses a large graph before any work.
+    witness = srcp_oracle(rg.graph, 4)
     assignment = sat_oracle(f)
-    witness = srcp_oracle(rg.graph, 4, coloring_cap=1 << t)
 
     witness_checked = False
     if assignment is not None:
@@ -327,7 +323,7 @@ def verify_reduction(f: Cnf3, state_cap: int = ORACLE_STATE_CAP) -> ReductionRep
         satisfiable=assignment is not None,
         srcp_yes=witness is not None,
         equivalent=(assignment is None) == (witness is None),
-        size_ok=t == 5 * rg.m + 3 * rg.n + 8,
+        size_ok=rg.graph.t == 5 * rg.m + 3 * rg.n + 8,
         degree_ok=out_degree_uniform(rg.graph) == 2,
         strongly_connected=is_strongly_connected(rg.graph),
         witness_checked=witness_checked,

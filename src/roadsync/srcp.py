@@ -37,11 +37,13 @@ from .graphs import (
 from .srcpw import abb_witness_target, fixed_word_coloring
 from .syncsolve import pin_bound, shortest_reset_word
 
-# Full coloring enumeration is refused beyond this many colorings.
-ORACLE_COLORING_CAP = 1 << 26
+# The numpy sweep's work, 2^(t-1) colorings times 2^k words, is refused past
+# this.  At 0.75-1.23 M colorings/s at k = 4 that is at most about 55-90 s
+# (t = 27); it admits t <= 26 at k = 5 and t <= 23 at k = 8.
+SWEEP_WORK_CAP = 1 << 30
 # Colorings that srcp_oracle tries one at a time, one subset BFS each (30 to
 # 90 us per coloring at t = 6..12), are refused beyond this many: about half a
-# minute of work.  ORACLE_COLORING_CAP sizes the numpy sweep instead.
+# minute of work.  SWEEP_WORK_CAP sizes the numpy sweep instead.
 ORACLE_ENUMERATION_CAP = 1 << 19
 _SWEEP_CHUNK = 1 << 13
 # The vectorized sweep walks the 2^k words of length k depth-first, one image
@@ -162,28 +164,28 @@ def sweep_sync_indices(g: Multigraph, k: int,
 
 
 def srcp_oracle(g: Multigraph, k: int,
-                coloring_cap: int = ORACLE_COLORING_CAP,
                 fast: bool = True) -> Optional[tuple[Coloring, Word]]:
     """First coloring (in enumeration order) with a reset word of length <= k.
 
     Returns that coloring and its shortest reset word, or None.  Exhaustive:
     this is the oracle the polynomial paths are validated against.  The numpy
-    sweep (out-degree 2, k <= 8) is capped at coloring_cap colorings; the
-    one-by-one enumeration also at ORACLE_ENUMERATION_CAP.
+    sweep (out-degree 2, k <= 8) is refused past SWEEP_WORK_CAP colorings times
+    words, the one-by-one enumeration past ORACLE_ENUMERATION_CAP colorings.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("srcp_oracle needs uniform out-degree")
-    sweep = fast and d == 2 and g.t <= 64 and k <= _SWEEP_WORD_DEPTH_CAP
-    cap = coloring_cap if sweep else min(coloring_cap, ORACLE_ENUMERATION_CAP)
+    sweep = fast and d == 2 and k <= _SWEEP_WORD_DEPTH_CAP
     count = coloring_count(g)
-    if count > cap:
-        how = "swept" if sweep else "tried one by one"
-        raise SizeLimitError(
-            f"srcp_oracle capped at {cap} colorings {how}; this graph has {count}"
-        )
+    # The sweep evaluates half of the colorings, each under 2^k words.
+    work = (count >> 1) << k if sweep else count
+    cap = SWEEP_WORK_CAP if sweep else ORACLE_ENUMERATION_CAP
+    if work > cap:
+        how = "coloring-word pairs swept" if sweep else "colorings tried one by one"
+        raise SizeLimitError(f"srcp_oracle capped at {cap} {how}; "
+                             f"needs 2^{work.bit_length() - 1} or more")
     if sweep:
         for index in sweep_sync_indices(g, k):
             coloring = coloring_from_index(g, index)

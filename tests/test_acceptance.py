@@ -398,7 +398,7 @@ def test_criterion_10_sat_reduction():
         t = 5 * aug.m + 3 * f.n + 8
         if t > 27:
             continue
-        rep = verify_reduction(f, state_cap=27)
+        rep = verify_reduction(f)
         ok = ok and rep.ok
         randoms += 1
 

@@ -7,7 +7,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadsync.cli import main
@@ -16,14 +16,7 @@ from roadsync.graphs import (
     Coloring, apply_coloring, is_admissible, make_graph, parse_graph, write_graph,
 )
 from roadsync.compose import write_batch
-from roadsync.satreduce import (
-    ORACLE_STATE_CAP,
-    Cnf3,
-    augment_tautologies,
-    build_reduction,
-    parse_dimacs,
-    write_dimacs,
-)
+from roadsync.satreduce import Cnf3, write_dimacs
 from roadsync.automata import Dfa
 from roadsync.srcp import srcp_oracle
 
@@ -47,6 +40,11 @@ def test_gen_and_sync_shortest(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "9"
     assert len(lines[1]) == 9 and set(lines[1]) <= {"a", "b"}
+    # Past CERNY_STATE_CAP the table (about 250 B per state) is never built.
+    big = tmp_path / "big.txt"
+    code, out, err = run(capsys, "gen", "cerny", "--n", str(2 ** 31), "--out", str(big))
+    assert (code, out) == (2, "") and err.startswith("size limit:")
+    assert not big.exists()
 
 
 def test_sync_check_json(tmp_path, capsys):
@@ -137,17 +135,23 @@ def test_srcpw_decide_search_budget(capsys):
 
 
 def test_srcp_decide_refuses_long_enumeration_up_front(tmp_path, capsys):
-    # Out-degree 3 at t = 10 has 6^10 = 60.5 M colorings: under the sweep's
-    # cap, but the one-by-one enumeration would take about an hour.
-    g = make_graph([((v + 1) % 10, (v + 2) % 10, 0) for v in range(10)])
-    assert is_admissible(g)
-    path = tmp_path / "g.txt"
-    path.write_text(write_graph(g))
-    start = time.perf_counter()
-    code, out, err = run(capsys, "srcp", "decide", "--k", "4", "--in", str(path))
-    assert time.perf_counter() - start < 5
-    assert code == 2 and out == ""
-    assert err.startswith("size limit:")
+    # Out-degree 3 at t = 10 has 6^10 = 60.5 M colorings: the one-by-one
+    # enumeration would take about an hour.  The ring graph v -> v+1, v+2 at
+    # t = 24 has 2^23 colorings to sweep under 2^8 words each, past the
+    # sweep's work cap: about 100 s of sweeping.
+    # At t = 16,010 the coloring count has more digits than Python prints.
+    degree3 = make_graph([((v + 1) % 10, (v + 2) % 10, 0) for v in range(10)])
+    ring, huge = (make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
+                  for t in (24, 16010))
+    for g, k in ((degree3, 4), (ring, 8), (huge, 4)):
+        assert is_admissible(g)
+        path = tmp_path / "g.txt"
+        path.write_text(write_graph(g))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "srcp", "decide", "--k", str(k), "--in", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == "", (g.t, k)
+        assert err.startswith("size limit:")
 
 
 def test_srcp_decide_rejects_inadmissible(tmp_path, capsys):
@@ -252,10 +256,11 @@ def test_verify_sat_reduce_size_limit(tmp_path, capsys):
                  ((4, False), (2, True), (1, True)),
                  ((3, True), (4, True), (2, False)),))
     cnf = tmp_path / "big.cnf"
-    cnf.write_text(write_dimacs(f))
-    code, _, err = run(capsys, "verify", "sat-reduce", "--in", str(cnf))
-    assert code == 2
-    assert "size limit" in err
+    for text in (write_dimacs(f), "p cnf 2000 0\n"):
+        cnf.write_text(text)
+        code, _, err = run(capsys, "verify", "sat-reduce", "--in", str(cnf))
+        assert code == 2
+        assert "size limit" in err
 
 
 def test_export_dot(tmp_path, capsys):
@@ -349,11 +354,14 @@ def test_threads_flag_is_rejected(tmp_path, capsys):
 def test_coloring_cap_flag_is_rejected(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(write_graph(make_graph([(0, 1), (2, 0), (1, 1)])))
-    code, out, err = run(capsys, "srcp", "decide", "--k", "4", "--coloring-cap", "16",
-                         "--in", str(path))
-    assert code == 1
-    assert "usage:" in err and "error:" in err
-    assert "Traceback" not in out + err
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(_CNF)
+    for argv in (["srcp", "decide", "--k", "4", "--coloring-cap", "16", "--in", str(path)],
+                 ["verify", "sat-reduce", "--state-cap", "26", "--in", str(cnf)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "usage:" in err and "error:" in err
+        assert "Traceback" not in out + err
 
 
 def test_srcpw_word_is_canonicalized(tmp_path, capsys):
@@ -386,7 +394,7 @@ _FUZZ_SEEDS = {
     ("sync", "check", "--in"): write_dfa(cerny_automaton(3)),
     ("sync", "shortest", "--in"): write_dfa(cerny_automaton(3)),
     ("export", "dot", "--in"): write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
-    ("srcp", "kernel", "--k", "1", "--in"):
+    ("srcp", "kernel", "--in"):
         write_graph(make_graph([(0, 1, 1), (1, 0, 0)])),
     ("srcp", "decide", "--in"):
         write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
@@ -400,6 +408,8 @@ _FUZZ_SEEDS = {
         write_batch([(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3)], 3),
     ("gen", "sat-reduce", "--in"): _CNF,
     ("verify", "sat-reduce", "--in"): _CNF,
+    # gen cerny reads no input; the bytes go to the file it overwrites.
+    ("gen", "cerny", "--out"): "",
 }
 
 
@@ -408,18 +418,9 @@ _FUZZ_FLAGS = {
     ("sync", "shortest", "--in"):
         [[], *(["--limit", str(v)] for v in (-1, 0, 1, 4, 2 ** 31))],
     ("srcp", "decide", "--in"): [["--k", str(v)] for v in (-1, 0, 3, 4, 2 ** 31)],
-    ("verify", "sat-reduce", "--in"):
-        [[], *(["--state-cap", str(v)] for v in (-1, 0, 16, 26, 2 ** 31))],
+    ("srcp", "kernel", "--in"): [["--k", str(v)] for v in (-1, 0, 1, 3, 2 ** 31)],
+    ("gen", "cerny", "--out"): [["--n", str(v)] for v in (-1, 0, 1, 2, 4, 2 ** 31)],
 }
-
-
-def _swept_states(data: bytes) -> int:
-    """States of the reduction graph `verify sat-reduce` sweeps, or 0."""
-    try:
-        text = io.StringIO(data.decode(), newline=None).read()
-        return build_reduction(augment_tautologies(parse_dimacs(text))).graph.t
-    except (ValueError, RuntimeError):
-        return 0
 
 
 @st.composite
@@ -428,7 +429,6 @@ def _fuzz_case(draw):
     data = bytearray(_FUZZ_SEEDS[argv].encode())
     flags = draw(st.sampled_from(_FUZZ_FLAGS.get(argv, [[]])))
     prefix = ["--json"] if draw(st.booleans()) else []
-    unbounded = argv[:2] == ("verify", "sat-reduce") and flags[1:] == [str(2 ** 31)]
     argv = (*prefix, *argv[:2], *flags, *argv[2:])
     if draw(st.integers(0, 4)) == 0:
         data = bytearray(draw(st.binary(max_size=80)))
@@ -439,11 +439,6 @@ def _fuzz_case(draw):
                      | st.binary(max_size=3))
         cut = draw(st.integers(0, 2))
         data[pos:pos + cut] = chunk
-    if unbounded:
-        # Under this cap a mutated header can make a reduction graph of 27 to
-        # 64 states, which is then swept in full: 2^(t-1) colorings, past
-        # 100 s at t = 40.  That is the work the cap asks for, not a boundary.
-        assume(not ORACLE_STATE_CAP < _swept_states(bytes(data)) <= 64)
     return argv, bytes(data)
 
 

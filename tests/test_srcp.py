@@ -138,11 +138,15 @@ def test_fast_oracle_matches_plain_enumeration():
 
 
 def test_oracle_caps_one_by_one_enumeration():
-    # 2^20 colorings: within the sweep's cap, past the one-by-one cap.
+    # 2^20 colorings: within the sweep's cap at k = 4, past the one-by-one cap.
     g = random_multigraph(random.Random(4), 20, 2)
-    assert srcp.ORACLE_ENUMERATION_CAP < 1 << 20 <= srcp.ORACLE_COLORING_CAP
+    assert srcp.ORACLE_ENUMERATION_CAP < 1 << 20
+    assert (1 << 19) * (1 << 4) <= srcp.SWEEP_WORK_CAP
     with pytest.raises(SizeLimitError):
         srcp_oracle(g, 4, fast=False)
+    # 2^23 colorings x 2^8 words: past the sweep's cap.
+    with pytest.raises(SizeLimitError):
+        srcp_oracle(random_multigraph(random.Random(4), 24, 2), 8)
     with pytest.raises(SizeLimitError):
         srcp_oracle(g, srcp._SWEEP_WORD_DEPTH_CAP + 1)
     with pytest.raises(SizeLimitError):
