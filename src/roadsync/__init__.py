@@ -42,7 +42,7 @@ from .srcp import (
     KernelResult,
     kernelize,
     srcp_decide,
-    srcp_exists_small_k,
+    srcp_exists_by_patterns,
     srcp_oracle,
     sweep_sync_indices,
 )
@@ -54,6 +54,7 @@ from .srcpw import (
     decide_aab,
     decide_aba,
     decide_abb,
+    first_word_coloring,
     fixed_word_coloring,
     recolor_abb_to_aba,
 )

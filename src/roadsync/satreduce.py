@@ -48,6 +48,10 @@ Clause = tuple[Literal, Literal, Literal]
 
 # sat_oracle tries all 2^n assignments; beyond this it is refused.
 SAT_ORACLE_VAR_CAP = 25
+# parse_dimacs refuses a header whose reduction graph could pass this many
+# states: augment_tautologies adds up to n clauses, and build_reduction builds
+# 5 vertices per clause and 3 per variable, plus 8.
+REDUCTION_STATE_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,8 @@ class Cnf3:
 
 
 def parse_dimacs(text: str) -> Cnf3:
-    """DIMACS-style input: `p cnf n m`, then m lines of 3 signed ints and a 0."""
+    """DIMACS-style input: `p cnf n m`, then m lines of 3 signed ints and a 0;
+    a header whose reduction could pass REDUCTION_STATE_CAP states is refused."""
     n = None
     expected = None
     clauses: list[Clause] = []
@@ -90,6 +95,10 @@ def parse_dimacs(text: str) -> Cnf3:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise InvalidInputError("malformed DIMACS header")
             n, expected = _ints(parts[2:], "DIMACS header")
+            if 5 * (expected + n) + 3 * n + 8 > REDUCTION_STATE_CAP:
+                raise SizeLimitError(
+                    f"DIMACS header p cnf {n} {expected} could need more than "
+                    f"{REDUCTION_STATE_CAP} reduction states")
             continue
         if n is None:
             raise InvalidInputError("clause before DIMACS header")

@@ -1,8 +1,10 @@
 """Synchronizing-road-coloring decisions: brute-force oracle, shortcuts, kernel.
 
-srcp_decide sends k <= 3 to srcp_exists_small_k and larger k to srcp_oracle,
-the ground truth everything else is validated against: it walks every
-coloring in enumeration order and asks for a reset word of length <= k.
+srcp_decide answers every k through srcp_exists_by_patterns, which runs the
+fixed-word search over the pattern words and never enumerates colorings.
+Only when that refuses does it ask srcp_oracle, the ground truth everything
+else is validated against: it walks every coloring in enumeration order and
+asks for a reset word of length <= k.
 A numpy sweep accelerates the out-degree-2 case without changing the sequential
 first-witness semantics.  It rests on two facts:
 
@@ -17,6 +19,7 @@ first-witness semantics.  It rests on two facts:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -34,7 +37,7 @@ from .graphs import (
     is_aperiodic,
     out_degree_uniform,
 )
-from .srcpw import abb_witness_target, fixed_word_coloring
+from .srcpw import SEARCH_NODE_BUDGET, abb_witness_target, first_word_coloring
 from .syncsolve import pin_bound, shortest_reset_word
 
 # The numpy sweep's work, 2^(t-1) colorings times 2^k words, is refused past
@@ -207,9 +210,10 @@ def srcp_decide(g: Multigraph, k: int) -> bool:
     """Decide SRCP on an admissible graph.
 
     k >= pin_bound(t) is an immediate yes: every admissible graph has a
-    synchronizing coloring and the bound caps its shortest reset word.  k <= 3
-    goes to srcp_exists_small_k at any out-degree and size (SizeLimitError past
-    srcpw.SEARCH_NODE_BUDGET choices tried per class), larger k to srcp_oracle.
+    synchronizing coloring and the bound caps its shortest reset word.  Every
+    other k goes to srcp_exists_by_patterns, at any out-degree and size; only
+    when it refuses (SizeLimitError) does srcp_oracle decide, within its own
+    caps.  When both refuse, the SizeLimitError names both limits.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
@@ -217,9 +221,13 @@ def srcp_decide(g: Multigraph, k: int) -> bool:
         raise InvalidInputError("srcp_decide is defined on admissible graphs")
     if k >= pin_bound(g.t):
         return True
-    if k <= 3:
-        return srcp_exists_small_k(g, k)
-    return srcp_oracle(g, k) is not None
+    try:
+        return srcp_exists_by_patterns(g, k)
+    except SizeLimitError as refusal:
+        try:
+            return srcp_oracle(g, k) is not None
+        except SizeLimitError as oracle_refusal:
+            raise SizeLimitError(f"{refusal}; then {oracle_refusal}") from None
 
 
 @dataclass(frozen=True)
@@ -281,36 +289,54 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
     return KernelResult(result, k, False, preserved)
 
 
-def pattern_words(k: int, d: int) -> list[Word]:
+def pattern_words(k: int, d: int) -> Iterator[Word]:
     """The words of length exactly k over letters below d, in ascending order,
-    whose letters appear in first-occurrence order (0 first, then 1, ...)."""
-    words: list[Word] = [()]
-    for _ in range(k):
-        words = [w + (x,) for w in words for x in range(min(d, max(w, default=-1) + 2))]
-    return words
+    whose letters appear in first-occurrence order (0 first, then 1, ...),
+    each built only when it is asked for."""
+    stack: list[Word] = [()]
+    while stack:
+        w = stack.pop()
+        if len(w) >= k:
+            yield w
+        else:
+            top = min(d, max(w, default=-1) + 2)
+            stack.extend(w + (x,) for x in reversed(range(top)))
 
 
-def srcp_exists_small_k(g: Multigraph, k: int) -> bool:
-    """Complete SRCP decision for k <= 3 that never enumerates full colorings.
+def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
+    """Complete SRCP decision for any k that never enumerates full colorings.
 
     A reset word of length <= k pads to length exactly k, since a singleton
     image stays a singleton.  Renaming letters maps colorings to colorings (a
     coloring is a per-vertex bijection from slots to letters), so the letters
     can be renamed into first-occurrence order.  SRCP(g, k) therefore holds
-    iff g lies in G_w for one of the pattern_words(k, d), and each class is
-    decided by fixed_word_coloring, in order.  At d = 2 and k = 3 the word
-    abb goes through abb_witness_target instead, after the others: a witness
-    target is always sound, and it exists for every member of G_abb outside
-    G_aaa and G_aba, which the earlier words cover.
+    iff g lies in G_w for one of the pattern_words(k, d), and
+    first_word_coloring decides that over the words in order.  At d = 2 and
+    k = 3 the word abb goes through abb_witness_target instead, after the
+    others: a witness target is always sound, and it exists for every member
+    of G_abb outside G_aaa and G_aba, which the earlier words cover.
+
+    Raises SizeLimitError before any search when the pattern words times the
+    t targets, the (word, target) pairs a NO instance tries, pass
+    SEARCH_NODE_BUDGET, and during the search once it has tried more than
+    SEARCH_NODE_BUDGET choices over all words.
     """
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("needs uniform out-degree")
-    if k > 3:
-        raise InvalidInputError("pattern decision only covers k <= 3")
     if g.t == 1:
         return True
+    most = SEARCH_NODE_BUDGET // g.t
+    # At d >= 2 there are 2^(k-1) or more pattern words, so a long k is
+    # refused before one word of it is built.
+    words = (list(islice(pattern_words(k, d), most + 1))
+             if d < 2 or k <= most.bit_length() else None)
+    if words is None or len(words) > most:
+        raise SizeLimitError(
+            f"pattern decision capped at {SEARCH_NODE_BUDGET} (word, target) pairs; "
+            f"{g.t} targets admit at most {most} pattern words")
     abb_by_witness = d == 2 and k == 3
-    return (any(fixed_word_coloring(g, w) is not None for w in pattern_words(k, d)
-                if not (abb_by_witness and w == (0, 1, 1)))
+    return (first_word_coloring(g, [w for w in words
+                                    if not (abb_by_witness and w == (0, 1, 1))])
+            is not None
             or (abb_by_witness and abb_witness_target(g) is not None))

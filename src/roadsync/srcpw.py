@@ -9,8 +9,9 @@ and validated against brute-force oracles in the test suite).  The
 fixpoint's hit sets start from the backward walk layers of q
 (`graphs.walk_layers`, cut at depth |w| - 1), and the fixpoint is the only
 target filter: it rejects every q that some vertex has no walk of exactly
-|w| edges to, so no distance search runs.  The backtracking search has a work
-budget of SEARCH_NODE_BUDGET search nodes (choices tried) per call, over all
+|w| edges to, so no distance search runs.  `first_word_coloring` runs the
+same search over a sequence of words, with one work budget of
+SEARCH_NODE_BUDGET search nodes (choices tried) per call, over all words and
 targets; past it the call raises SizeLimitError instead of running for
 minutes.
 
@@ -19,8 +20,8 @@ it; the rest is out-degree 2 only.  The abb class additionally has a
 characterization by V_2(q), the vertices at distance exactly 2 from q, which
 doubles as a witness construction; V_2(q) is read off the first three walk
 layers.  The aaa class reduces to a self-loop plus three backward layers.
-An abb witness recolors to an aba one.  SRCP at k <= 3 is a union of these
-classes, decided by `srcp.srcp_exists_small_k`.
+An abb witness recolors to an aba one.  SRCP at every k is a union of
+classes G_w, decided by `srcp.srcp_exists_by_patterns`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .automata import Word, apply_word, word_from_str
 from .errors import InvalidInputError, SizeLimitError
@@ -40,8 +41,8 @@ from .graphs import (
     walk_layers,
 )
 
-# Search nodes (choices tried by the backtracking) one fixed_word_coloring
-# call may spend over all its targets before it refuses the graph.
+# Search nodes (choices tried by the backtracking) one first_word_coloring
+# call may spend over all its words and targets before it refuses the graph.
 SEARCH_NODE_BUDGET = 100_000
 
 
@@ -80,29 +81,42 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
     under which w maps every vertex to the least possible q, the first in
     `enumerate_colorings` order.  Raises SizeLimitError once the backtracking
     has tried more than SEARCH_NODE_BUDGET choices over all targets; returned
-    colorings are always verified.
+    colorings are always verified.  This is `first_word_coloring` on one word.
+    """
+    return first_word_coloring(g, (w,))
 
-    A reset word pads to any longer length (a singleton image stays a
-    singleton), and renaming letters maps colorings to colorings, so SRCP at
-    k is the union of G_w over the words of `srcp.pattern_words(k, d)`; that
-    is how `srcp.srcp_exists_small_k` decides it.
+
+def first_word_coloring(g: Multigraph, words: Iterable[Sequence[int]]) -> Optional[Coloring]:
+    """For the first of words (in order) with g in G_w, the coloring
+    `fixed_word_coloring` returns; None if g lies in no G_w.
+
+    One SEARCH_NODE_BUDGET covers every word and target, and the choice
+    lists are built once per letter set.  A reset word pads to any longer
+    length (a singleton image stays a singleton), and renaming letters maps
+    colorings to colorings, so SRCP at k is the union of G_w over the words
+    of `srcp.pattern_words(k, d)`; that is how `srcp.srcp_exists_by_patterns`
+    decides it.
     """
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("fixed-word search needs uniform out-degree")
-    w = tuple(w)
-    if any(not 0 <= x < d for x in w):
-        raise InvalidInputError(f"word letters must lie below the out-degree {d}")
-    if not w:
-        return Coloring((tuple(range(d)),)) if g.t == 1 else None
-    letters = tuple(sorted(set(w)))
-    choices = [_choice_table(tuple(map(ts.index, ts)), letters, d)
-               for ts in g.out_edges]
     budget = [SEARCH_NODE_BUDGET]
-    for q in range(g.t):
-        coloring = _fixed_word_at(g, w, q, choices, budget)
-        if coloring is not None:
-            return coloring
+    choices: dict[tuple[int, ...], list[tuple]] = {}
+    for w in map(tuple, words):
+        if any(not 0 <= x < d for x in w):
+            raise InvalidInputError(f"word letters must lie below the out-degree {d}")
+        if not w:
+            if g.t == 1:
+                return Coloring((tuple(range(d)),))
+            continue
+        letters = tuple(sorted(set(w)))
+        if letters not in choices:
+            choices[letters] = [_choice_table(tuple(map(ts.index, ts)), letters, d)
+                                for ts in g.out_edges]
+        for q in range(g.t):
+            coloring = _fixed_word_at(g, w, q, choices[letters], budget)
+            if coloring is not None:
+                return coloring
     return None
 
 
@@ -162,10 +176,16 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int, choices: list[tuple],
     # set of all vertices does, and the loop (which only removes vertices)
     # reaches the same hit sets from both.
     # hit[1] then lies in the (L-1)-step backward cone, so the duty-0 check
-    # after the loop rejects every q that a cone filter would skip.
+    # before the first round rejects every q that a cone filter would skip.
     walks = walk_layers(g, q, L - 1)
     hit = [frozenset()] + [walks[L - i] for i in levels]
     while True:
+        # Any slot can carry letter w_0, so duty 0 holds iff an out-edge
+        # enters hit[1]; the hit sets only shrink, so checked before every
+        # round it fails as soon as it would fail at the fixpoint.
+        first = hit[1] if L > 1 else frozenset((q,))
+        if not all(any(u in first for u in ts) for ts in tgt):
+            return None
         changed = False
         for i in levels:
             keep = frozenset(
@@ -178,10 +198,6 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int, choices: list[tuple],
                 changed = True
         if not changed:
             break
-    # Any slot can carry letter w_0, so duty 0 holds iff an out-edge enters hit[1].
-    first = hit[1] if L > 1 else frozenset((q,))
-    if not all(any(u in first for u in ts) for ts in tgt):
-        return None
 
     # Exact selection: sigma (a choice index) per state plus the duty levels
     # demanded of it by already-made choices.  Unassigned duty targets are

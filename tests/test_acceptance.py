@@ -43,7 +43,7 @@ from roadsync.satreduce import (
 )
 from roadsync.srcp import (
     kernelize,
-    srcp_exists_small_k,
+    srcp_exists_by_patterns,
     srcp_oracle,
     sweep_sync_indices,
 )
@@ -250,13 +250,13 @@ def test_criterion_7_kernel_soundness():
                         oracle_cases += 1
     # 50 random t=3 out-degree-12 graphs with k=3: genuine degree reduction;
     # full coloring enumeration is astronomically large, so presence runs
-    # through the complete small-k pattern decision on both sides.
+    # through the complete pattern decision on both sides.
     reduced_cases = 0
     for _ in range(50):
         g = _random_admissible(rng, 3, 12)
         res = kernelize(g, 3)
         ok = ok and out_degree_uniform(res.graph) == 9
-        ok = ok and srcp_exists_small_k(g, 3) == srcp_exists_small_k(res.graph, 3)
+        ok = ok and srcp_exists_by_patterns(g, 3) == srcp_exists_by_patterns(res.graph, 3)
         reduced_cases += 1
     report("7 (kernel soundness)", ok,
            f"{identity_cases} identity, {oracle_cases} oracle-checked, "
@@ -274,7 +274,7 @@ def test_criterion_8_fixed_word_deciders():
             decide_aba(g) == (m[WORDS["aba"]] and not m[WORDS["aaa"]]),
             decide_abb(g) == (m[WORDS["abb"]] and not m[WORDS["aba"]]
                               and not m[WORDS["aaa"]]),
-            srcp_exists_small_k(g, 3) == any(m.values()),
+            srcp_exists_by_patterns(g, 3) == any(m.values()),
         ]
         return all(oks)
 

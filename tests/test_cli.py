@@ -16,6 +16,7 @@ from roadsync.graphs import (
     Coloring, apply_coloring, is_admissible, make_graph, parse_graph, write_graph,
 )
 from roadsync.compose import write_batch
+from roadsync import satreduce
 from roadsync.satreduce import Cnf3, write_dimacs
 from roadsync.automata import Dfa
 from roadsync.srcp import srcp_oracle
@@ -135,23 +136,32 @@ def test_srcpw_decide_search_budget(capsys):
 
 
 def test_srcp_decide_refuses_long_enumeration_up_front(tmp_path, capsys):
-    # Out-degree 3 at t = 10 has 6^10 = 60.5 M colorings: the one-by-one
-    # enumeration would take about an hour.  The ring graph v -> v+1, v+2 at
-    # t = 24 has 2^23 colorings to sweep under 2^8 words each, past the
-    # sweep's work cap: about 100 s of sweeping.
-    # At t = 16,010 the coloring count has more digits than Python prints.
+    # Out-degree 3 at t = 10 has 6^10 = 60.5 M colorings, and the ring graph
+    # v -> v+1, v+2 at t = 24 has 2^23 colorings to sweep under 2^8 words
+    # each: both past the oracle's caps, both answered by the pattern words.
+    # At t = 16,010 the 8 pattern words of k = 4 times the targets pass the
+    # search budget, and the coloring count has more digits than Python
+    # prints.  The planted t = 200 aba graph spends the search budget.
     degree3 = make_graph([((v + 1) % 10, (v + 2) % 10, 0) for v in range(10)])
     ring, huge = (make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
                   for t in (24, 16010))
-    for g, k in ((degree3, 4), (ring, 8), (huge, 4)):
+    planted = parse_graph((DATA / "planted_aba_t200.txt").read_text())
+    for g, k, answer in ((degree3, 4, "YES\n"), (ring, 8, "NO\n"), (huge, 4, None),
+                         (planted, 3, None)):
         assert is_admissible(g)
         path = tmp_path / "g.txt"
         path.write_text(write_graph(g))
         start = time.perf_counter()
         code, out, err = run(capsys, "srcp", "decide", "--k", str(k), "--in", str(path))
         assert time.perf_counter() - start < 5
+        if answer is not None:
+            assert (code, out, err) == (0, answer, ""), (g.t, k)
+            continue
         assert code == 2 and out == "", (g.t, k)
+        # Both refusals are named: the pattern route's, then the oracle's.
         assert err.startswith("size limit:")
+        assert "choices spent" in err or "pattern decision capped" in err
+        assert "srcp_oracle capped" in err
 
 
 def test_srcp_decide_rejects_inadmissible(tmp_path, capsys):
@@ -261,6 +271,23 @@ def test_verify_sat_reduce_size_limit(tmp_path, capsys):
         code, _, err = run(capsys, "verify", "sat-reduce", "--in", str(cnf))
         assert code == 2
         assert "size limit" in err
+
+
+def test_sat_reduce_refuses_large_header_up_front(tmp_path, capsys):
+    # 10^7 variables would make an 80 M-state reduction graph; the header
+    # alone is refused.  The largest admitted header builds 10^6 states.
+    cnf = tmp_path / "big.cnf"
+    for header in ("p cnf 10000000 0\n", "p cnf 0 200000\n", "p cnf 125000 0\n"):
+        cnf.write_text(header)
+        out_path = tmp_path / "g.txt"
+        for argv in (["gen", "sat-reduce", "--out", str(out_path)], ["verify", "sat-reduce"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv, "--in", str(cnf))
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, ""), (header, argv)
+            assert err.startswith("size limit:") and "reduction states" in err
+        assert not out_path.exists()
+    assert satreduce.REDUCTION_STATE_CAP == 5 * 124999 + 3 * 124999 + 8
 
 
 def test_export_dot(tmp_path, capsys):
@@ -390,6 +417,8 @@ def test_negative_batch_count_is_exit_1(tmp_path, capsys):
 
 # Small valid inputs, one per command; the property mutates their bytes.
 _CNF = write_dimacs(Cnf3(1, (((1, False), (1, True), (1, True)),)))
+# Refused at the header; a few deleted digits still leave them past the cap.
+_LARGE_CNF_HEADERS = ("p cnf 99999999999 0\n", "p cnf 1 99999999999\n" + _CNF.split("\n", 1)[1])
 _FUZZ_SEEDS = {
     ("sync", "check", "--in"): write_dfa(cerny_automaton(3)),
     ("sync", "shortest", "--in"): write_dfa(cerny_automaton(3)),
@@ -406,8 +435,8 @@ _FUZZ_SEEDS = {
                      (Dfa(3, 2, ((0, 1), (0, 2), (1, 2))), 1)], 3),
     ("verify", "compose", "--batch"):
         write_batch([(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3)], 3),
-    ("gen", "sat-reduce", "--in"): _CNF,
-    ("verify", "sat-reduce", "--in"): _CNF,
+    ("gen", "sat-reduce", "--in"): (_CNF, *_LARGE_CNF_HEADERS),
+    ("verify", "sat-reduce", "--in"): (_CNF, *_LARGE_CNF_HEADERS),
     # gen cerny reads no input; the bytes go to the file it overwrites.
     ("gen", "cerny", "--out"): "",
 }
@@ -426,7 +455,10 @@ _FUZZ_FLAGS = {
 @st.composite
 def _fuzz_case(draw):
     argv = draw(st.sampled_from(sorted(_FUZZ_SEEDS)))
-    data = bytearray(_FUZZ_SEEDS[argv].encode())
+    seed = _FUZZ_SEEDS[argv]
+    if not isinstance(seed, str):
+        seed = draw(st.sampled_from(seed))
+    data = bytearray(seed.encode())
     flags = draw(st.sampled_from(_FUZZ_FLAGS.get(argv, [[]])))
     prefix = ["--json"] if draw(st.booleans()) else []
     argv = (*prefix, *argv[:2], *flags, *argv[2:])

@@ -15,3 +15,23 @@ def test_no_bare_asserts_in_library():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_readme_names_every_cap_and_budget():
+    # Every size cap and work budget is documented where users look for the
+    # refusals (exit 2), as module.NAME.
+    readme = (SRC.parent.parent / "README.md").read_text()
+    names = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names += [f"{path.stem}.{target.id}" for target in targets
+                      if isinstance(target, ast.Name)
+                      and target.id.endswith(("_CAP", "_BUDGET"))]
+    assert len(names) >= 9
+    assert [name for name in names if name not in readme] == []

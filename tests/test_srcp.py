@@ -3,13 +3,14 @@ from itertools import product
 
 import pytest
 
-from roadsync import srcp
+from roadsync import srcp, srcpw
 from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.graphs import (
     Multigraph,
     apply_coloring,
     coloring_from_index,
     enumerate_colorings,
+    is_admissible,
     is_strongly_connected,
     make_graph,
     out_degree_uniform,
@@ -18,7 +19,7 @@ from roadsync.srcp import (
     kernelize,
     pattern_words,
     srcp_decide,
-    srcp_exists_small_k,
+    srcp_exists_by_patterns,
     srcp_oracle,
     sweep_sync_indices,
 )
@@ -247,15 +248,17 @@ def test_kernel_soundness_small_oracle():
     for _ in range(12):
         g = admissible_random(rng, 3, 12)
         res = kernelize(g, 3)
-        assert srcp_exists_small_k(g, 3) == srcp_exists_small_k(res.graph, 3)
+        assert srcp_exists_by_patterns(g, 3) == srcp_exists_by_patterns(res.graph, 3)
 
 
 def test_pattern_words():
-    assert [len(pattern_words(3, d)) for d in (1, 2, 3, 4)] == [1, 4, 5, 5]
-    assert len(pattern_words(4, 2)) == 8
+    assert [len(list(pattern_words(3, d))) for d in (1, 2, 3, 4)] == [1, 4, 5, 5]
+    assert len(list(pattern_words(4, 2))) == 8
+    # Lazy: the first words of a 2^29-word family come without the rest.
+    assert next(pattern_words(30, 2)) == (0,) * 30
     for k in range(5):
         for d in range(4):
-            words = pattern_words(k, d)
+            words = list(pattern_words(k, d))
             assert words == sorted(set(words))
             # Every word of length k renames to exactly one pattern word.
             renamed = set()
@@ -272,7 +275,7 @@ def test_pattern_decision_matches_oracle():
         t = rng.randint(1, 2 if d == 4 else 3)
         g = random_multigraph(rng, t, d)
         for k in (0, 1, 2, 3):
-            fast = srcp_exists_small_k(g, k)
+            fast = srcp_exists_by_patterns(g, k)
             slow = srcp_oracle(g, k) is not None
             assert fast == slow, (g.out_edges, k, fast, slow)
     # srcp_decide answers every k <= 3 through the pin-bound shortcut or the
@@ -286,8 +289,97 @@ def test_pattern_decision_matches_oracle():
             assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
 
 
-def test_pattern_decision_caps():
+def _ring(t, rng=None):
+    """v -> v+1, v+2 (admissible), or with rng the out-degree-3 family
+    (v+1, v+1|v+2, v+1|v+2) with each vertex's slots shuffled.  A walk of k
+    edges from v ends in v+k..v+2k, so for t >= k + 2 no vertex is a common
+    end and no coloring resets within k letters."""
+    if rng is None:
+        return make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
+    rows = []
+    for v in range(t):
+        row = [(v + 1) % t] + [(v + rng.randint(1, 2)) % t for _ in range(2)]
+        rng.shuffle(row)
+        rows.append(tuple(row))
+    return make_graph(rows)
+
+
+def test_pattern_decision_caps(monkeypatch):
+    # k >= 4 is decided like k <= 3, with the oracle's answer.
     g = random_multigraph(random.Random(0), 6, 2)
-    assert srcp_exists_small_k(g, 3) == (srcp_oracle(g, 3, fast=False) is not None)
-    with pytest.raises(InvalidInputError):
-        srcp_exists_small_k(make_graph([(0, 0)]), 4)
+    for k in (3, 4, 5):
+        assert srcp_exists_by_patterns(g, k) == (srcp_oracle(g, k, fast=False) is not None)
+    assert srcp_exists_by_patterns(make_graph([(0, 0)]), 4) is True
+    # Words x targets past SEARCH_NODE_BUDGET are refused before any search;
+    # at the budget the words are searched.
+    searched = []
+
+    def search(g, words):
+        searched.append((g.t, len(list(words))))
+        return None
+
+    monkeypatch.setattr(srcp, "first_word_coloring", search)
+    t = srcp.SEARCH_NODE_BUDGET // 8  # k = 4 has 8 pattern words
+    assert srcp_exists_by_patterns(_ring(t), 4) is False
+    with pytest.raises(SizeLimitError):
+        srcp_exists_by_patterns(_ring(t + 1), 4)
+    # k = 3 has 4, the last of them (abb) decided by its witness.
+    assert srcp_exists_by_patterns(_ring(t + 1), 3) is False
+    # A long k is refused before one of its words is built.
+    with pytest.raises(SizeLimitError):
+        srcp_exists_by_patterns(_ring(1000), 10 ** 8)
+    assert searched == [(t, 8), (t + 1, 3)]
+
+
+def test_srcp_decide_matches_oracle_past_k3():
+    # The one route of srcp_decide against the plain enumeration: out-degree 2
+    # at k = 4..6, and out-degree 3, where the ring family gives NO cases.
+    rng = random.Random(97)
+    answers = set()
+    graphs = [admissible_random(rng, t, 2) for t in (5, 6, 7, 8, 9, 10, 12)]
+    graphs += [_ring(t) for t in (7, 9, 12)]
+    for g in graphs:
+        for k in (4, 5, 6):
+            slow = srcp_oracle(g, k, fast=False) is not None
+            assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
+            answers.add((2, slow))
+    graphs = [admissible_random(rng, t, 3) for t in (3, 4, 4, 5)]
+    graphs += [g for g in (_ring(t, rng) for t in (4, 5, 5, 5)) if is_admissible(g)]
+    for g in graphs:
+        for k in range(2, 5):
+            slow = srcp_oracle(g, k, fast=False) is not None
+            assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
+            answers.add((3, slow))
+    assert answers == {(2, False), (2, True), (3, False), (3, True)}
+
+
+def test_srcp_decide_falls_back_to_the_oracle(monkeypatch):
+    calls = []
+    oracle = srcp.srcp_oracle
+
+    def spy(g, k):
+        calls.append(k)
+        return oracle(g, k)
+
+    monkeypatch.setattr(srcp, "srcp_oracle", spy)
+    rng = random.Random(5)
+    graphs = [admissible_random(rng, t, 2) for t in (4, 6, 8)] + [_ring(8)]
+    graphs += [admissible_random(rng, 4, 3)]
+    # A budget of 0 refuses the pattern route up front, so all 10 queries
+    # fall back; one of 1 refuses the searches that try a second choice.
+    for where, budget, fallbacks in ((srcp, 0, {10}), (srcpw, 1, range(1, 10))):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as low:
+            low.setattr(where, "SEARCH_NODE_BUDGET", budget)
+            for g in graphs:
+                for k in (2, 4):
+                    slow = oracle(g, k, fast=False) is not None
+                    assert srcp_decide(g, k) == slow, (g.out_edges, k)
+        assert len(calls) in fallbacks
+    # k = 40 has 2^39 pattern words: refused at once, then the 2^10
+    # colorings are enumerated one by one.
+    calls.clear()
+    g = _ring(10)
+    assert srcp_decide(g, 40) == (oracle(g, 40, fast=False) is not None)
+    assert calls == [40]
+

@@ -17,7 +17,7 @@ from roadsync.graphs import (
     parse_graph,
     walk_layers,
 )
-from roadsync.srcp import srcp_decide, srcp_exists_small_k, srcp_oracle
+from roadsync.srcp import srcp_decide, srcp_exists_by_patterns, srcp_oracle
 from roadsync.srcpw import (
     abb_coloring_from_target,
     abb_witness_target,
@@ -260,7 +260,7 @@ def test_srcp_k3_decide_matches_oracle():
     for _ in range(200):
         g = random_multigraph(rng, rng.randint(1, 5), 2)
         expected = srcp_oracle(g, 3) is not None
-        assert srcp_exists_small_k(g, 3) == expected
+        assert srcp_exists_by_patterns(g, 3) == expected
 
 
 def test_srcp_k3_requires_admissible():
@@ -274,7 +274,7 @@ def test_srcp_k3_on_admissible():
 
 
 def test_abb_witness_target_is_always_sound():
-    # srcp_exists_small_k counts any witness target as an abb member,
+    # srcp_exists_by_patterns counts any witness target as an abb member,
     # also on graphs in G_aaa or G_aba, so soundness must not need them absent.
     graphs = [g for t in (1, 2, 3, 4) for g in outdeg2_graphs_exhaustive(t)]
     rng = random.Random(13)
@@ -292,23 +292,41 @@ def test_abb_witness_target_is_always_sound():
 
 
 def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
-    calls = {"fixed_word_coloring": 0, "abb_witness_target": 0}
+    # One search over the words aaa, aab and aba, each (word, target) pair
+    # once, the choice lists built once per letter set; abb by its witness.
+    searched, pairs, tables, witnesses = [], [], [], []
+    search, fixed_word_at = srcp.first_word_coloring, srcpw._fixed_word_at
+    choice_table, witness = srcpw._choice_table, srcp.abb_witness_target
 
-    def spy(name):
-        original = getattr(srcp, name)
+    def search_spy(g, words):
+        searched.append(list(words))
+        return search(g, searched[-1])
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(srcp, name, wrapper)
+    def fixed_word_at_spy(g, w, q, *args):
+        pairs.append((w, q))
+        return fixed_word_at(g, w, q, *args)
 
-    spy("fixed_word_coloring")
-    spy("abb_witness_target")
+    def choice_table_spy(*args):
+        tables.append(args)
+        return choice_table(*args)
+
+    def witness_spy(g):
+        witnesses.append(g)
+        return witness(g)
+
+    monkeypatch.setattr(srcp, "first_word_coloring", search_spy)
+    monkeypatch.setattr(srcpw, "_fixed_word_at", fixed_word_at_spy)
+    monkeypatch.setattr(srcpw, "_choice_table", choice_table_spy)
+    monkeypatch.setattr(srcp, "abb_witness_target", witness_spy)
     t = 12
     g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
     assert srcp_decide(g, 3) is False
     assert srcp_oracle(g, 3) is None
-    assert calls == {"fixed_word_coloring": 3, "abb_witness_target": 1}
+    words = [WORDS["aaa"], WORDS["aab"], WORDS["aba"]]
+    assert searched == [words]
+    assert pairs == [(w, q) for w in words for q in range(t)]
+    assert len(tables) == 2 * t
+    assert witnesses == [g]
 
 
 def test_distance_two_matches_shortest_distances():
