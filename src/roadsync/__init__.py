@@ -54,7 +54,6 @@ from .srcpw import (
     decide_aab,
     decide_aba,
     decide_abb,
-    first_word_coloring,
     fixed_word_coloring,
     recolor_abb_to_aba,
 )

@@ -316,7 +316,10 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     others: a witness target is always sound, and it exists for every member
     of G_abb outside G_aaa and G_aba, which the earlier words cover.
 
-    Raises SizeLimitError before any search when the pattern words times the
+    The empty word resets no graph of two or more vertices, so at k = 0 no
+    word is searched.
+
+    Raises SizeLimitError before any search when the searched words times the
     t targets, the (word, target) pairs a NO instance tries, pass
     SEARCH_NODE_BUDGET, and during the search once it has tried more than
     SEARCH_NODE_BUDGET choices over all words.
@@ -327,16 +330,20 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     if g.t == 1:
         return True
     most = SEARCH_NODE_BUDGET // g.t
-    # At d >= 2 there are 2^(k-1) or more pattern words, so a long k is
-    # refused before one word of it is built.
-    words = (list(islice(pattern_words(k, d), most + 1))
-             if d < 2 or k <= most.bit_length() else None)
-    if words is None or len(words) > most:
-        raise SizeLimitError(
-            f"pattern decision capped at {SEARCH_NODE_BUDGET} (word, target) pairs; "
-            f"{g.t} targets admit at most {most} pattern words")
+    longest = most.bit_length() + 1
+    refusal = SizeLimitError(
+        f"pattern decision capped at {SEARCH_NODE_BUDGET} (word, target) pairs; "
+        f"{g.t} targets admit at most {most} pattern words, of length at most {longest}")
+    # A longer k is refused before one word of it is built: at d >= 2 it has
+    # 2^(k-1) > 2 * most pattern words, and at d = 1 its one word would be
+    # walked k - 1 layers deep per target, work the budget does not count.
+    if k > longest:
+        raise refusal
     abb_by_witness = d == 2 and k == 3
-    return (first_word_coloring(g, [w for w in words
-                                    if not (abb_by_witness and w == (0, 1, 1))])
-            is not None
+    searched = (w for w in pattern_words(k, d)
+                if w and not (abb_by_witness and w == (0, 1, 1)))
+    words = list(islice(searched, most + 1))
+    if len(words) > most:
+        raise refusal
+    return (first_word_coloring(g, words) is not None
             or (abb_by_witness and abb_witness_target(g) is not None))

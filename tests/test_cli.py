@@ -141,13 +141,17 @@ def test_srcp_decide_refuses_long_enumeration_up_front(tmp_path, capsys):
     # each: both past the oracle's caps, both answered by the pattern words.
     # At t = 16,010 the 8 pattern words of k = 4 times the targets pass the
     # search budget, and the coloring count has more digits than Python
-    # prints.  The planted t = 200 aba graph spends the search budget.
+    # prints.  The planted t = 200 aba graph spends the search budget.  A
+    # path 0 -> 1 -> ... -> 99 into a self-loop resets within exactly 99
+    # letters; its long k is refused before its one word is built, and the
+    # oracle tries its one coloring.
     degree3 = make_graph([((v + 1) % 10, (v + 2) % 10, 0) for v in range(10)])
     ring, huge = (make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
                   for t in (24, 16010))
     planted = parse_graph((DATA / "planted_aba_t200.txt").read_text())
+    chain = make_graph([(min(v + 1, 99),) for v in range(100)])
     for g, k, answer in ((degree3, 4, "YES\n"), (ring, 8, "NO\n"), (huge, 4, None),
-                         (planted, 3, None)):
+                         (planted, 3, None), (chain, 100000, "YES\n"), (chain, 98, "NO\n")):
         assert is_admissible(g)
         path = tmp_path / "g.txt"
         path.write_text(write_graph(g))

@@ -278,15 +278,29 @@ def test_pattern_decision_matches_oracle():
             fast = srcp_exists_by_patterns(g, k)
             slow = srcp_oracle(g, k) is not None
             assert fast == slow, (g.out_edges, k, fast, slow)
-    # srcp_decide answers every k <= 3 through the pin-bound shortcut or the
+    # srcp_decide answers every k through the pin-bound shortcut or the
     # pattern decision, at any out-degree; the plain enumeration is the
-    # independent check.
+    # independent check.  Out-degree 2 runs to k = 6 on graphs up to t = 12,
+    # the rings among them; out-degree 3 adds the shuffled ring family, so
+    # both give NO cases.
+    graphs = []
     for _ in range(40):
         d = rng.randint(1, 4)
-        g = admissible_random(rng, rng.randint(2, {1: 4, 2: 5, 3: 3, 4: 3}[d]), d)
-        for k in range(4):
-            slow = srcp_oracle(g, k, fast=False) is not None
+        graphs.append(admissible_random(rng, rng.randint(2, {1: 4, 2: 5, 3: 3, 4: 3}[d]), d))
+    graphs += [admissible_random(rng, t, 2) for t in (5, 6, 7, 8, 9, 10, 12)]
+    graphs += [_ring(t) for t in (7, 9, 12)]
+    graphs += [admissible_random(rng, t, 3) for t in (3, 4, 4, 5)]
+    graphs += [g for g in (_ring(t, rng) for t in (4, 5, 5, 5)) if is_admissible(g)]
+    answers = set()
+    for g in graphs:
+        d = out_degree_uniform(g)
+        slow = True
+        for k in reversed(range({2: 7, 3: 5}.get(d, 4))):
+            # A NO at k is a NO at every smaller k.
+            slow = slow and srcp_oracle(g, k, fast=False) is not None
             assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
+            answers.add((d, slow))
+    assert {(2, False), (2, True), (3, False), (3, True)} <= answers
 
 
 def _ring(t, rng=None):
@@ -325,32 +339,21 @@ def test_pattern_decision_caps(monkeypatch):
         srcp_exists_by_patterns(_ring(t + 1), 4)
     # k = 3 has 4, the last of them (abb) decided by its witness.
     assert srcp_exists_by_patterns(_ring(t + 1), 3) is False
-    # A long k is refused before one of its words is built.
+    # Only the searched words count: at k = 3 the three before abb, so
+    # t = SEARCH_NODE_BUDGET // 3 is searched; at k = 0 none, so no t is
+    # refused (k = 1 is, past SEARCH_NODE_BUDGET targets).
+    third, past = srcp.SEARCH_NODE_BUDGET // 3, srcp.SEARCH_NODE_BUDGET + 1
+    assert srcp_exists_by_patterns(_ring(third), 3) is False
+    assert srcp_exists_by_patterns(_ring(past), 0) is False
     with pytest.raises(SizeLimitError):
-        srcp_exists_by_patterns(_ring(1000), 10 ** 8)
-    assert searched == [(t, 8), (t + 1, 3)]
-
-
-def test_srcp_decide_matches_oracle_past_k3():
-    # The one route of srcp_decide against the plain enumeration: out-degree 2
-    # at k = 4..6, and out-degree 3, where the ring family gives NO cases.
-    rng = random.Random(97)
-    answers = set()
-    graphs = [admissible_random(rng, t, 2) for t in (5, 6, 7, 8, 9, 10, 12)]
-    graphs += [_ring(t) for t in (7, 9, 12)]
-    for g in graphs:
-        for k in (4, 5, 6):
-            slow = srcp_oracle(g, k, fast=False) is not None
-            assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
-            answers.add((2, slow))
-    graphs = [admissible_random(rng, t, 3) for t in (3, 4, 4, 5)]
-    graphs += [g for g in (_ring(t, rng) for t in (4, 5, 5, 5)) if is_admissible(g)]
-    for g in graphs:
-        for k in range(2, 5):
-            slow = srcp_oracle(g, k, fast=False) is not None
-            assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
-            answers.add((3, slow))
-    assert answers == {(2, False), (2, True), (3, False), (3, True)}
+        srcp_exists_by_patterns(_ring(past), 1)
+    # A long k is refused before one of its words is built, at out-degree 1
+    # too, where its one word would be walked k - 1 layers deep.
+    path = make_graph([(min(v + 1, 999),) for v in range(1000)])
+    for g in (_ring(1000), path):
+        with pytest.raises(SizeLimitError):
+            srcp_exists_by_patterns(g, 10 ** 8)
+    assert searched == [(t, 8), (t + 1, 3), (third, 3), (past, 0)]
 
 
 def test_srcp_decide_falls_back_to_the_oracle(monkeypatch):
