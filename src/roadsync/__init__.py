@@ -49,7 +49,6 @@ from .srcp import (
 from .srcpw import (
     abb_coloring_from_target,
     abb_witness_target,
-    canonical_word,
     decide_aaa,
     decide_aab,
     decide_aba,

@@ -3,6 +3,10 @@
 Exit codes: 0 = decided/succeeded (answer on stdout), 1 = invalid input,
 2 = size limit exceeded.  `--json` switches to a single JSON object with the
 fields answer / witness_word / witness_coloring / report.
+
+Each action has its own parser, which accepts only the flags in its row of
+_ACTIONS, spelled in full; argparse dispatches to the action's handler.  The
+parser tree is built once, at import.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from .compose import (
     verify_c1_c2_c3,
 )
 from .automata import (
-    Dfa,
     cerny_automaton,
     parse_dfa,
+    word_from_str,
     word_to_str,
     write_dfa,
 )
@@ -37,7 +41,7 @@ from .graphs import (
     write_graph_with_colors,
 )
 from .srcp import kernelize, srcp_decide
-from .srcpw import canonical_word, fixed_word_coloring
+from .srcpw import fixed_word_coloring
 from .syncsolve import is_synchronizing, shortest_reset_word
 
 
@@ -64,8 +68,12 @@ class _Output:
     def report(self, data: dict) -> None:
         self.payload["report"] = data
 
-    def raw(self, text: str) -> None:
-        self.lines.append(text)
+    def text(self, text: str, path: Optional[str]) -> None:
+        """Write text to path (`--out`), or print it when there is none."""
+        if path:
+            _write(path, text)
+        else:
+            self.lines.append(text.rstrip("\n"))
 
     def emit(self) -> None:
         if self.as_json:
@@ -83,123 +91,98 @@ def _read(path: str) -> str:
         raise InvalidInputError(f"{path} is not UTF-8 text") from None
 
 
-def _needed(args, attr: str, flag: str) -> str:
-    """The path an action cannot run without; argparse leaves it optional."""
-    value = getattr(args, attr)
-    if value is None:
-        raise InvalidInputError(f"{args.command} {args.action} needs {flag}")
-    return value
-
-
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _cmd_sync(args, out: _Output) -> int:
+def _sync_check(args, out: _Output) -> None:
+    out.answer(is_synchronizing(parse_dfa(_read(args.infile))))
+
+
+def _sync_shortest(args, out: _Output) -> None:
     dfa = parse_dfa(_read(args.infile))
-    if args.action == "check":
-        out.answer(is_synchronizing(dfa))
-        return 0
     word = shortest_reset_word(dfa, limit=args.limit)
     if word is None:
         out.answer("NONE")
-        return 0
+        return
     out.answer(len(word))
     out.word(word, dfa.alphabet_size)
-    return 0
 
 
-def _cmd_srcp(args, out: _Output) -> int:
+def _srcp_decide(args, out: _Output) -> None:
+    out.answer(srcp_decide(parse_graph(_read(args.infile)), args.k))
+
+
+def _srcp_kernel(args, out: _Output) -> None:
+    result = kernelize(parse_graph(_read(args.infile)), args.k)
+    out.answer(result.k)
+    out.report({
+        "trivially_yes": result.trivially_yes,
+        "aperiodicity_preserved": result.aperiodicity_preserved,
+    })
+    out.text(write_graph(result.graph), args.outfile)
+
+
+def _srcp_k3(args, out: _Output) -> None:
+    out.answer(srcp_decide(parse_graph(_read(args.infile)), 3))
+
+
+def _srcpw_decide(args, out: _Output) -> None:
     g = parse_graph(_read(args.infile))
-    if args.action == "decide":
-        out.answer(srcp_decide(g, args.k))
-        return 0
-    if args.action == "kernel":
-        result = kernelize(g, args.k)
-        text = write_graph(result.graph)
-        if args.outfile:
-            _write(args.outfile, text)
-        out.answer(result.k)
-        out.report({
-            "trivially_yes": result.trivially_yes,
-            "aperiodicity_preserved": result.aperiodicity_preserved,
-        })
-        if not args.outfile:
-            out.raw(text.rstrip("\n"))
-        return 0
-    out.answer(srcp_decide(g, 3))
-    return 0
-
-
-def _cmd_srcpw(args, out: _Output) -> int:
-    g = parse_graph(_read(args.infile))
-    witness = fixed_word_coloring(g, canonical_word(args.word))
+    word = word_from_str(args.word, 2)
+    if len(word) != 3:
+        raise InvalidInputError("fixed-word classes cover length-3 words")
+    witness = fixed_word_coloring(g, word)
     out.answer(witness is not None)
     if witness is not None:
         out.coloring(g, witness)
-    return 0
 
 
-def _cmd_gen(args, out: _Output) -> int:
-    if args.action == "cerny":
-        dfa = cerny_automaton(args.n)
-        text = write_dfa(dfa)
-        if args.outfile:
-            _write(args.outfile, text)
-        else:
-            out.raw(text.rstrip("\n"))
-        out.answer("OK")
-        return 0
-    if args.action == "compose":
-        raw, t = parse_batch(_read(_needed(args, "batch", "--batch")))
-        result = compose_or_decide(raw, t)
-        if isinstance(result, bool):
-            out.answer(result)
-            return 0
-        text = write_dfa(result.dfa)
-        if args.outfile:
-            _write(args.outfile, text)
-        else:
-            out.raw(text.rstrip("\n"))
-        if args.names:
-            _write(args.names, json.dumps(compose_names_json(result), indent=2))
-        out.answer(result.dfa.t)
-        return 0
-    f = satreduce.parse_dimacs(_read(_needed(args, "infile", "--in")))
+def _gen_cerny(args, out: _Output) -> None:
+    out.text(write_dfa(cerny_automaton(args.n)), args.outfile)
+    out.answer("OK")
+
+
+def _gen_compose(args, out: _Output) -> None:
+    result = compose_or_decide(*parse_batch(_read(args.batch)))
+    if isinstance(result, bool):
+        out.answer(result)
+        return
+    out.text(write_dfa(result.dfa), args.outfile)
+    if args.names:
+        _write(args.names, json.dumps(compose_names_json(result), indent=2))
+    out.answer(result.dfa.t)
+
+
+def _gen_sat_reduce(args, out: _Output) -> None:
+    f = satreduce.parse_dimacs(_read(args.infile))
     rg = satreduce.build_reduction(satreduce.augment_tautologies(f))
-    text = write_graph(rg.graph)
-    if args.outfile:
-        _write(args.outfile, text)
-    else:
-        out.raw(text.rstrip("\n"))
+    out.text(write_graph(rg.graph), args.outfile)
     if args.names:
         _write(args.names, json.dumps(satreduce.reduction_names_json(rg), indent=2))
     out.answer(rg.graph.t)
-    return 0
 
 
-def _cmd_verify(args, out: _Output) -> int:
-    if args.action == "compose":
-        raw, t = parse_batch(_read(_needed(args, "batch", "--batch")))
-        pre = preprocess(raw, t)
-        if pre.answer is not None:
-            out.answer(pre.answer)
-            out.report({"short_circuit": True})
-            return 0
-        composed = compose_batch(pre.batch)
-        report = verify_c1_c2_c3(composed, pre.batch)
-        out.answer(report.all_pass)
-        out.report({
-            "c1_no_short_reset": report.c1_no_short_reset,
-            "c2_all_shaped": report.c2_all_shaped,
-            "c3_assembled_words_reset": report.c3_assembled_words_reset,
-            "reset_word_count": report.reset_word_count,
-            "assembled_count": report.assembled_count,
-        })
-        return 0
-    f = satreduce.parse_dimacs(_read(_needed(args, "infile", "--in")))
-    report = satreduce.verify_reduction(f)
+def _verify_compose(args, out: _Output) -> None:
+    pre = preprocess(*parse_batch(_read(args.batch)))
+    if pre.answer is not None:
+        out.answer(pre.answer)
+        out.report({"short_circuit": True})
+        return
+    report = verify_c1_c2_c3(compose_batch(pre.batch), pre.batch)
+    out.answer(report.all_pass)
+    out.report({
+        "c1_no_short_reset": report.c1_no_short_reset,
+        "c2_all_shaped": report.c2_all_shaped,
+        "c3_assembled_words_reset": report.c3_assembled_words_reset,
+        "reset_word_count": report.reset_word_count,
+        "assembled_count": report.assembled_count,
+    })
+
+
+def _verify_sat_reduce(args, out: _Output) -> None:
+    report = satreduce.verify_reduction(satreduce.parse_dimacs(_read(args.infile)))
     out.answer(report.ok)
     out.report({
         "satisfiable": report.satisfiable,
@@ -210,79 +193,69 @@ def _cmd_verify(args, out: _Output) -> int:
         "strongly_connected": report.strongly_connected,
         "witness_checked": report.witness_checked,
     })
-    return 0
 
 
-def _cmd_export(args, out: _Output) -> int:
-    text = _read(args.infile)
-    g = parse_graph(text)
-    dot = to_dot(g)
-    if args.outfile:
-        _write(args.outfile, dot)
-    else:
-        out.raw(dot.rstrip("\n"))
+def _export_dot(args, out: _Output) -> None:
+    out.text(to_dot(parse_graph(_read(args.infile))), args.outfile)
     out.answer("OK")
-    return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="roadsync")
+_FLAGS = {
+    "--in": {"dest": "infile", "required": True},
+    "--batch": {"required": True},
+    "--word": {"required": True},
+    "--out": {"dest": "outfile"},
+    "--names": {},
+    "--k": {"type": int, "default": 0},
+    "--limit": {"type": int},
+    "--n": {"type": int, "default": 4},
+}
+
+# (command, action): (handler, the flags it reads)
+_ACTIONS = {
+    ("sync", "check"): (_sync_check, "--in"),
+    ("sync", "shortest"): (_sync_shortest, "--in", "--limit"),
+    ("srcp", "decide"): (_srcp_decide, "--in", "--k"),
+    ("srcp", "kernel"): (_srcp_kernel, "--in", "--k", "--out"),
+    ("srcp", "k3"): (_srcp_k3, "--in"),
+    ("srcpw", "decide"): (_srcpw_decide, "--word", "--in"),
+    ("gen", "cerny"): (_gen_cerny, "--n", "--out"),
+    ("gen", "compose"): (_gen_compose, "--batch", "--out", "--names"),
+    ("gen", "sat-reduce"): (_gen_sat_reduce, "--in", "--out", "--names"),
+    ("verify", "compose"): (_verify_compose, "--batch"),
+    ("verify", "sat-reduce"): (_verify_sat_reduce, "--in"),
+    ("export", "dot"): (_export_dot, "--in", "--out"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="roadsync", allow_abbrev=False)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sync = sub.add_parser("sync")
-    p_sync.add_argument("action", choices=["check", "shortest"])
-    p_sync.add_argument("--in", dest="infile", required=True)
-    p_sync.add_argument("--limit", type=int, default=None)
-
-    p_srcp = sub.add_parser("srcp")
-    p_srcp.add_argument("action", choices=["decide", "kernel", "k3"])
-    p_srcp.add_argument("--in", dest="infile", required=True)
-    p_srcp.add_argument("--k", type=int, default=0)
-    p_srcp.add_argument("--out", dest="outfile", default=None)
-
-    p_srcpw = sub.add_parser("srcpw")
-    p_srcpw.add_argument("action", choices=["decide"])
-    p_srcpw.add_argument("--word", required=True)
-    p_srcpw.add_argument("--in", dest="infile", required=True)
-
-    p_gen = sub.add_parser("gen")
-    p_gen.add_argument("action", choices=["cerny", "compose", "sat-reduce"])
-    p_gen.add_argument("--n", type=int, default=4)
-    p_gen.add_argument("--batch", default=None)
-    p_gen.add_argument("--in", dest="infile", default=None)
-    p_gen.add_argument("--out", dest="outfile", default=None)
-    p_gen.add_argument("--names", default=None)
-
-    p_verify = sub.add_parser("verify")
-    p_verify.add_argument("action", choices=["compose", "sat-reduce"])
-    p_verify.add_argument("--batch", default=None)
-    p_verify.add_argument("--in", dest="infile", default=None)
-
-    p_export = sub.add_parser("export")
-    p_export.add_argument("action", choices=["dot"])
-    p_export.add_argument("--in", dest="infile", required=True)
-    p_export.add_argument("--out", dest="outfile", default=None)
+    commands = parser.add_subparsers(dest="command", required=True)
+    actions = {}
+    for (command, action), (handler, *flags) in _ACTIONS.items():
+        if command not in actions:
+            actions[command] = commands.add_parser(command).add_subparsers(
+                dest="action", required=True)
+        # No prefixes: --n must not stand for --names.
+        p = actions[command].add_parser(action, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     out = _Output(args.json)
-    handlers = {
-        "sync": _cmd_sync,
-        "srcp": _cmd_srcp,
-        "srcpw": _cmd_srcpw,
-        "gen": _cmd_gen,
-        "verify": _cmd_verify,
-        "export": _cmd_export,
-    }
     try:
-        code = handlers[args.command](args, out)
+        args.handler(args, out)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -293,7 +266,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out.emit()
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -261,13 +261,11 @@ def write_graph_with_colors(g: Multigraph, c: Coloring) -> str:
     return text + "\n".join(lines) + "\n"
 
 
-def to_dot(g: Multigraph, coloring: Optional[Coloring] = None,
-           names: Optional[Sequence[str]] = None) -> str:
+def to_dot(g: Multigraph, coloring: Optional[Coloring] = None) -> str:
     """DOT export: one edge per slot, labeled with its letter when colored."""
     out = ["digraph g {"]
     for v in range(g.t):
-        label = names[v] if names else str(v)
-        out.append(f'  n{v} [label="{label}"];')
+        out.append(f'  n{v} [label="{v}"];')
     for v in range(g.t):
         for slot, w in enumerate(g.out_edges[v]):
             if coloring is not None:

@@ -18,6 +18,8 @@ first-witness semantics.  It rests on two facts:
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
@@ -242,10 +244,12 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
     """Reduce out-degree to at most t*(pin_bound(t)-1), preserving the answer.
 
     For k >= pin_bound(t) the instance is already a yes; a fixed trivial yes
-    instance (single vertex, all self-loops, k'=0) is returned.  Otherwise one
-    edge is deleted per vertex and pass, always from a maximum-multiplicity
-    multiedge (ties to the smallest target, deleting the highest slot), until
-    the out-degree bound holds.  The vertex set never changes.
+    instance (single vertex, all self-loops, k'=0) is returned.  Otherwise
+    each vertex deletes one edge at a time, always from a maximum-multiplicity
+    multiedge (ties to the smallest target), until the out-degree bound
+    holds; it keeps the lowest slots of each target.  One count and one heap
+    per vertex, so the work is O(d log t) per vertex.  The vertex set never
+    changes.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
@@ -256,28 +260,28 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
     if k >= z:
         trivial = Multigraph(1, (tuple([0] * d),))
         return KernelResult(trivial, 0, True, True)
-    threshold = g.t * (z - 1)
-    edges = [list(ts) for ts in g.out_edges]
-    degree = d
-    while degree > threshold:
-        for v in range(g.t):
-            counts: dict[int, int] = {}
-            for u in edges[v]:
-                counts[u] = counts.get(u, 0) + 1
-            best = max(counts.items(), key=lambda item: (item[1], -item[0]))
-            target, multiplicity = best
+    degree = min(d, g.t * (z - 1))
+    edges = []
+    for v, ts in enumerate(g.out_edges):
+        heap = [(-count, u) for u, count in Counter(ts).items()]
+        heapq.heapify(heap)
+        for removed in range(d - degree):
+            count, u = heap[0]
             # Pigeonhole: degree > t*(z-1) over <= t targets forces >= z copies.
-            if multiplicity < z:
+            if -count < z:
                 raise RuntimeError(
-                    f"vertex {v}: out-degree {degree} leaves only {multiplicity} "
+                    f"vertex {v}: out-degree {d - removed} leaves only {-count} "
                     f"parallel edges, fewer than {z}"
                 )
-            for slot in range(len(edges[v]) - 1, -1, -1):
-                if edges[v][slot] == target:
-                    del edges[v][slot]
-                    break
-        degree -= 1
-    result = Multigraph(g.t, tuple(tuple(ts) for ts in edges))
+            heapq.heapreplace(heap, (count + 1, u))
+        keep = {u: -count for count, u in heap}
+        row = []
+        for u in ts:
+            if keep[u]:
+                keep[u] -= 1
+                row.append(u)
+        edges.append(tuple(row))
+    result = Multigraph(g.t, tuple(edges))
     preserved: Optional[bool]
     if degree == 0:
         preserved = None

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .automata import Word, apply_word, word_from_str
+from .automata import Word, apply_word
 from .errors import InvalidInputError, SizeLimitError
 from .graphs import (
     Coloring,
@@ -44,20 +44,6 @@ from .graphs import (
 # Search nodes (choices tried by the backtracking) one first_word_coloring
 # call may spend over all its words and targets before it refuses the graph.
 SEARCH_NODE_BUDGET = 100_000
-
-
-def canonical_word(text: str) -> Word:
-    """Parse a length-3 word over {a, b}, its first letter normalized to a.
-
-    Swapping the two colors of every vertex shows G_w = G_w' for the
-    complementary word w', so aaa, aab, aba and abb stand for all eight.
-    """
-    letters = word_from_str(text, 2)
-    if len(letters) != 3:
-        raise InvalidInputError("fixed-word classes cover length-3 words")
-    if letters[0] == 1:
-        letters = tuple(1 - x for x in letters)
-    return letters
 
 
 def _require_outdeg2(g: Multigraph) -> None:

@@ -129,6 +129,29 @@ def bitloop_shortest_reset_word(a: Dfa, limit: Optional[int] = None):
     return None
 
 
+def passwise_kernel_graph(g: Multigraph) -> Multigraph:
+    """The kernel's degree reduction one pass at a time: each pass recounts
+    every vertex's targets and deletes one edge from a maximum-multiplicity
+    multiedge (ties to the smallest target, deleting its highest slot).  The
+    reference for `srcp.kernelize` at k < pin_bound(t), which counts once."""
+    z = pin_bound(g.t)
+    threshold = g.t * (z - 1)
+    edges = [list(ts) for ts in g.out_edges]
+    degree = len(edges[0])
+    while degree > threshold:
+        for row in edges:
+            counts: dict[int, int] = {}
+            for u in row:
+                counts[u] = counts.get(u, 0) + 1
+            target = max(counts.items(), key=lambda item: (item[1], -item[0]))[0]
+            for slot in range(len(row) - 1, -1, -1):
+                if row[slot] == target:
+                    del row[slot]
+                    break
+        degree -= 1
+    return Multigraph(g.t, tuple(tuple(row) for row in edges))
+
+
 def per_letter_compose_tables(batch):
     """The guard-table composition built one letter at a time, one mapping
     call per state: the reference for `compose`, which writes each state's

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,13 +6,15 @@ import os
 import random
 import tempfile
 import time
+from itertools import product
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadsync import cli
 from roadsync.cli import main
-from roadsync.automata import apply_word, cerny_automaton, parse_dfa, write_dfa
+from roadsync.automata import apply_word, cerny_automaton, parse_dfa, word_from_str, write_dfa
 from roadsync.graphs import (
     Coloring, apply_coloring, is_admissible, make_graph, parse_graph, write_graph,
 )
@@ -196,6 +199,21 @@ def test_srcp_kernel_roundtrip(tmp_path, capsys):
     assert len(g2.out_edges[0]) == 9
 
 
+def test_srcp_kernel_at_out_degree_40000(tmp_path, capsys):
+    # t = 2 and k = 0 cut every edge.  Recounting each vertex's targets for
+    # every deleted edge took minutes at this out-degree.
+    rng = random.Random(5)
+    path = tmp_path / "wide.txt"
+    path.write_text(write_graph(make_graph(
+        [(0, 1, *(rng.randrange(2) for _ in range(39998))) for _ in range(2)])))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--json", "srcp", "kernel", "--in", str(path), "--k", "0")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"] == {"trivially_yes": False,
+                                         "aperiodicity_preserved": None}
+
+
 def test_srcpw_decide_with_witness(tmp_path, capsys):
     g = make_graph([(0, 1), (0, 1)])
     path = tmp_path / "g.txt"
@@ -323,6 +341,12 @@ def _assert_clean_exit_1(code, out, err):
     assert "Traceback" not in out + err
 
 
+def _assert_usage_error(code, out, err):
+    assert code == 1
+    assert "usage:" in err and "error:" in err
+    assert "Traceback" not in out + err
+
+
 def test_non_integer_dfa_token_is_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.dfa"
     path.write_text("dfa 2 2\n0 x\n1 0\n")
@@ -344,11 +368,11 @@ def test_srcpw_word_outside_alphabet_is_exit_1(tmp_path, capsys):
 
 
 def test_verify_sat_reduce_without_input_is_exit_1(capsys):
-    _assert_clean_exit_1(*run(capsys, "verify", "sat-reduce"))
+    _assert_usage_error(*run(capsys, "verify", "sat-reduce"))
 
 
 def test_gen_compose_without_batch_is_exit_1(capsys):
-    _assert_clean_exit_1(*run(capsys, "gen", "compose"))
+    _assert_usage_error(*run(capsys, "gen", "compose"))
 
 
 def test_srcp_kernel_negative_k_is_exit_1(tmp_path, capsys):
@@ -375,11 +399,8 @@ def test_unreadable_input_is_exit_1(tmp_path, capsys):
 def test_threads_flag_is_rejected(tmp_path, capsys):
     dfa_path = tmp_path / "c3.txt"
     run(capsys, "gen", "cerny", "--n", "3", "--out", str(dfa_path))
-    code, out, err = run(capsys, "--threads", "2", "sync", "check",
-                         "--in", str(dfa_path))
-    assert code == 1
-    assert "usage:" in err and "error:" in err
-    assert "Traceback" not in out + err
+    _assert_usage_error(*run(capsys, "--threads", "2", "sync", "check",
+                             "--in", str(dfa_path)))
 
 
 def test_coloring_cap_flag_is_rejected(tmp_path, capsys):
@@ -389,21 +410,32 @@ def test_coloring_cap_flag_is_rejected(tmp_path, capsys):
     cnf.write_text(_CNF)
     for argv in (["srcp", "decide", "--k", "4", "--coloring-cap", "16", "--in", str(path)],
                  ["verify", "sat-reduce", "--state-cap", "26", "--in", str(cnf)]):
-        code, out, err = run(capsys, *argv)
-        assert code == 1, argv
-        assert "usage:" in err and "error:" in err
-        assert "Traceback" not in out + err
+        _assert_usage_error(*run(capsys, *argv))
 
 
-def test_srcpw_word_is_canonicalized(tmp_path, capsys):
-    # bba is decided as aab: same answer and the same witness coloring, which
-    # on this graph differs from the coloring a bba search would return.
+def test_srcpw_witness_resets_by_the_asked_word(tmp_path, capsys):
+    # A b-first word is searched as given: the printed coloring resets the
+    # graph by that word, and the answer equals its complement's (swapping
+    # both colors at every vertex maps one class onto the other).  On the
+    # first graph, aba's coloring maps the states onto {1, 2} under bab.
     path = tmp_path / "g.txt"
-    path.write_text(write_graph(make_graph([(0, 1), (0, 0)])))
-    outputs = [run(capsys, "--json", "srcpw", "decide", "--word", w,
-                   "--in", str(path)) for w in ("bba", "aab")]
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 0 and json.loads(outputs[0][1])["answer"] is True
+    for text in ("graph 4 2\n0 2\n0 3\n3 3\n3 1\n", write_graph(make_graph([(0, 1), (0, 0)]))):
+        path.write_text(text)
+        g = parse_graph(text)
+        answers = {}
+        for w in map("".join, product("ab", repeat=3)):
+            code, out, err = run(capsys, "--json", "srcpw", "decide", "--word", w,
+                                 "--in", str(path))
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            answers[w] = payload["answer"]
+            if payload["answer"]:
+                coloring = Coloring(tuple(map(tuple, payload["witness_coloring"])))
+                dfa = apply_coloring(g, coloring)
+                assert len(apply_word(dfa, dfa.full_set(), word_from_str(w, 2))) == 1, (text, w)
+        swap = str.maketrans("ab", "ba")
+        assert all(answers[w] == answers[w.translate(swap)] for w in answers)
+        assert answers["bab"] is True
     _assert_clean_exit_1(*run(capsys, "srcpw", "decide", "--word", "ab",
                               "--in", str(path)))
 
@@ -493,3 +525,102 @@ def test_cli_survives_mutated_input(case):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error:")
+
+
+# The flags each action's parser accepts, besides -h.
+_ACTION_FLAGS = {
+    ("sync", "check"): {"--in"},
+    ("sync", "shortest"): {"--in", "--limit"},
+    ("srcp", "decide"): {"--in", "--k"},
+    ("srcp", "kernel"): {"--in", "--k", "--out"},
+    ("srcp", "k3"): {"--in"},
+    ("srcpw", "decide"): {"--word", "--in"},
+    ("gen", "cerny"): {"--n", "--out"},
+    ("gen", "compose"): {"--batch", "--out", "--names"},
+    ("gen", "sat-reduce"): {"--in", "--out", "--names"},
+    ("verify", "compose"): {"--batch"},
+    ("verify", "sat-reduce"): {"--in"},
+    ("export", "dot"): {"--in", "--out"},
+}
+
+
+def _flags(parser):
+    return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def test_each_action_accepts_only_its_own_flags():
+    assert _flags(cli._PARSER) == {"--json"}
+    found = {(command, action): _flags(p)
+             for command, actions in _subparsers(cli._PARSER).items()
+             for action, p in _subparsers(actions).items()}
+    assert found == _ACTION_FLAGS
+    assert sum(map(len, found.values())) + 1 == 24
+
+
+def _required_argv(tmp_path):
+    """A valid argv tail per action: its required flags and nothing else."""
+    dfa, graph, batch, cnf = (str(tmp_path / name) for name in ("c3.txt", "g.txt", "b.txt", "f.cnf"))
+    Path(dfa).write_text(write_dfa(cerny_automaton(3)))
+    Path(graph).write_text(write_graph(make_graph([(0, 1), (2, 0), (1, 1)])))
+    Path(batch).write_text(write_batch([(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3)], 3))
+    Path(cnf).write_text(_CNF)
+    return {
+        ("sync", "check"): ["--in", dfa],
+        ("sync", "shortest"): ["--in", dfa],
+        ("srcp", "decide"): ["--in", graph],
+        ("srcp", "kernel"): ["--in", graph],
+        ("srcp", "k3"): ["--in", graph],
+        ("srcpw", "decide"): ["--word", "aba", "--in", graph],
+        ("gen", "cerny"): [],
+        ("gen", "compose"): ["--batch", batch],
+        ("gen", "sat-reduce"): ["--in", cnf],
+        ("verify", "compose"): ["--batch", batch],
+        ("verify", "sat-reduce"): ["--in", cnf],
+        ("export", "dot"): ["--in", graph],
+    }
+
+
+def test_json_before_the_command_for_every_action(tmp_path, capsys):
+    for (command, action), argv in _required_argv(tmp_path).items():
+        code, out, err = run(capsys, "--json", command, action, *argv)
+        assert (code, err) == (0, ""), (command, action)
+        assert set(json.loads(out)) == {"answer", "witness_word", "witness_coloring", "report"}
+
+
+def test_flags_of_other_actions_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # Each of these was accepted by the command's shared parser and ignored.
+    # A prefix of another flag (--n of --names) is no flag either.
+    monkeypatch.chdir(tmp_path)
+    argv = _required_argv(tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+    for command, action, flag in (
+            ("sync", "check", "--limit"), ("srcp", "decide", "--out"),
+            ("srcp", "k3", "--k"), ("srcp", "k3", "--out"),
+            ("gen", "cerny", "--batch"), ("gen", "cerny", "--in"), ("gen", "cerny", "--names"),
+            ("gen", "compose", "--n"), ("gen", "compose", "--in"),
+            ("gen", "sat-reduce", "--n"), ("gen", "sat-reduce", "--batch"),
+            ("verify", "compose", "--in"), ("verify", "sat-reduce", "--batch")):
+        value = "3" if flag in ("--n", "--k", "--limit") else "stray.txt"
+        code, out, err = run(capsys, command, action, *argv[(command, action)], flag, value)
+        _assert_usage_error(code, out, err)
+        assert out == "" and sorted(os.listdir(tmp_path)) == inputs, (command, action, flag)
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for (command, action), argv in _required_argv(tmp_path).items():
+        assert run(capsys, command, action, *argv)[0] == 0
+    assert run(capsys, "sync", "check")[0] == 1
+    assert built == []

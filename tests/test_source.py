@@ -1,5 +1,10 @@
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
+
+from roadsync import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "roadsync"
 
@@ -35,3 +40,21 @@ def test_readme_names_every_cap_and_budget():
                       and target.id.endswith(("_CAP", "_BUDGET"))]
     assert len(names) >= 9
     assert [name for name in names if name not in readme] == []
+
+
+def test_readme_command_lines_parse():
+    # Every example of README's "Command line" block, comment removed, is
+    # accepted by the real parser.
+    readme = (SRC.parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0].split() for line in block.splitlines()
+             if line.startswith("roadsync ")]
+    assert len(lines) >= 12
+    refused = []
+    for argv in lines:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli._PARSER.parse_args(argv[1:])
+        except SystemExit:
+            refused.append(" ".join(argv))
+    assert refused == []

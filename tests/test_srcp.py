@@ -25,7 +25,7 @@ from roadsync.srcp import (
 )
 from roadsync.syncsolve import pin_bound, shortest_reset_word
 
-from support import random_multigraph
+from support import passwise_kernel_graph, random_multigraph
 
 
 def admissible_random(rng, t, d):
@@ -241,6 +241,26 @@ def test_kernelize_reduces_degree_to_threshold():
     # determinism
     g = admissible_random(random.Random(1), 3, 12)
     assert kernelize(g, 3) == kernelize(g, 3)
+
+
+def test_kernelize_matches_passwise_reference():
+    # Out-degree past the threshold t * (pin_bound(t) - 1) that k below
+    # pin_bound(t) cuts to; uneven target weights make skewed rows and ties.
+    rng = random.Random(41)
+    checked = 0
+    while checked < 300:
+        t = rng.randint(2, 4)
+        k = rng.randrange(pin_bound(t))
+        threshold = t * (pin_bound(t) - 1)
+        d = threshold + rng.randint(1, 12)
+        weights = [rng.choice((1, 1, 8)) for _ in range(t)]
+        g = Multigraph(t, tuple(tuple(rng.choices(range(t), weights, k=d)) for _ in range(t)))
+        if not is_admissible(g):
+            continue
+        res = kernelize(g, k)
+        assert res.graph == passwise_kernel_graph(g), (g.out_edges, k)
+        assert out_degree_uniform(res.graph) == threshold
+        checked += 1
 
 
 def test_kernel_soundness_small_oracle():

@@ -21,7 +21,6 @@ from roadsync.srcp import srcp_decide, srcp_exists_by_patterns, srcp_oracle
 from roadsync.srcpw import (
     abb_coloring_from_target,
     abb_witness_target,
-    canonical_word,
     decide_aaa,
     decide_aab,
     decide_aba,
@@ -40,12 +39,20 @@ from support import (
 WORDS = {"aaa": (0, 0, 0), "aab": (0, 0, 1), "aba": (0, 1, 0), "abb": (0, 1, 1)}
 
 
-def test_fixed_word_class_canonicalization():
-    assert canonical_word("abb") == WORDS["abb"]
-    assert canonical_word("baa") == WORDS["abb"]
-    assert canonical_word("bba") == WORDS["aab"]
-    with pytest.raises(InvalidInputError):
-        canonical_word("ab")
+def test_complementary_words_share_a_class():
+    # Swapping the two colors at every vertex maps a coloring that resets by
+    # w to one that resets by its complement, so G_w equals G_w'.  The search
+    # takes b-first words as given, and its witness resets by them.
+    rng = random.Random(12)
+    graphs = [g for t in (1, 2, 3) for g in outdeg2_graphs_exhaustive(t)]
+    graphs += [random_multigraph(rng, rng.randint(4, 8), 2) for _ in range(200)]
+    for g in graphs:
+        for w in product((0, 1), repeat=3):
+            witness = fixed_word_coloring(g, w)
+            assert (witness is None) == (fixed_word_coloring(g, tuple(1 - x for x in w)) is None)
+            if witness is not None:
+                dfa = apply_coloring(g, witness)
+                assert len(apply_word(dfa, dfa.full_set(), w)) == 1, (g.out_edges, w)
 
 
 def test_oracle_trivial_cases():
