@@ -2,12 +2,14 @@
 """Print one sha256 over everything a benchmark workload's queries output.
 
     python3 scripts/output_digest.py reset-compose --seed 1
+    python3 scripts/output_digest.py all --seed 1 2 3
 
-Builds the perfbench inputs of the workload and seed in a temporary directory
-and runs the warm-up and timed queries once, in order, through
-``roadsync.cli.main``.  The digest covers every exit code, every stdout and
-every file written by ``--out`` or ``--names``, with the directory left out.
-Equal digests at two commits mean byte-identical output.
+For each workload (``all`` is every one) and each seed, builds the perfbench
+inputs in a temporary directory and runs the warm-up and timed queries once,
+in order, through ``roadsync.cli.main``, then prints one line: workload,
+seed, digest.  The digest covers every exit code, every stdout and every file
+written by ``--out`` or ``--names``, with the directory left out.  Equal
+digests at two commits mean byte-identical output.
 """
 
 import argparse
@@ -43,7 +45,10 @@ def output_digest(workload: str, seed: int) -> str:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=workloads.WORKLOADS)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("workload", choices=workloads.WORKLOADS + ("all",))
+    parser.add_argument("--seed", type=int, nargs="+", default=[1])
     args = parser.parse_args()
-    print(output_digest(args.workload, args.seed))
+    names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
+    for name in names:
+        for seed in args.seed:
+            print(name, seed, output_digest(name, seed), flush=True)

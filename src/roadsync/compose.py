@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import or_
 from typing import Optional, Sequence
 
 from .automata import Dfa, _content_lines, _header, _table, apply_word
 from .errors import InvalidInputError, SizeLimitError
-from .syncsolve import (_byte_tables, is_synchronizing, pin_bound,
+from .syncsolve import (_byte_tables, _disjoint, _field_bits, _image_masks,
+                        _pack, is_synchronizing, pin_bound,
                         shortest_reset_word, syn_decide)
 
 # verify_c1_c2_c3 enumerates every word of length z(t)+1.
@@ -336,11 +336,19 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
 
     A depth-first walk over all alphabet_size^length words that holds the
     image of each prefix as a bitmask and steps it under every letter at once
-    through the subset BFS's byte tables, so a word costs one image step, not
-    one pass over the whole word.
+    through the reset-word search's byte tables, so a word costs one image
+    step, not one pass over the whole word.  The last letter is tested for
+    all letters at once: a field of images & (images - ones) is 0 exactly
+    when its image is a singleton (no image is empty, so no borrow crosses
+    fields).
     """
-    low, *high = _byte_tables(dfa)
-    high_blocks = list(zip(range(8, dfa.t, 8), high))
+    t = dfa.t
+    low, *high = _byte_tables(_image_masks(dfa))
+    high_blocks = list(zip(range(8, t, 8), high))
+    full = (1 << t) - 1
+    stride = _field_bits(t)
+    letters = range(dfa.alphabet_size)
+    _, ones, guard = _pack([0] * dfa.alphabet_size, t)
     word = [0] * length
     found: list[tuple[int, ...]] = []
 
@@ -349,13 +357,19 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
         for shift, table in high_blocks:
             byte = (image >> shift) & 255
             if byte:
-                images = map(or_, images, table[byte])
-        for x, nxt in enumerate(images):
-            word[depth] = x
-            if depth + 1 < length:
-                walk(depth + 1, nxt)
-            elif nxt & (nxt - 1) == 0:
+                images |= table[byte]
+        if depth + 1 == length:
+            singletons = _disjoint((images & (images - ones), ones, guard), full)
+            while singletons:
+                bit = singletons & -singletons
+                word[depth] = (bit.bit_length() - 1) // stride
                 found.append(tuple(word))
+                singletons ^= bit
+            return
+        for x in letters:
+            word[depth] = x
+            walk(depth + 1, images & full)
+            images >>= stride
 
     walk(0, (1 << dfa.t) - 1)
     return found

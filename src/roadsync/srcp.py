@@ -46,14 +46,14 @@ from .syncsolve import pin_bound, shortest_reset_word
 # this.  At 0.75-1.23 M colorings/s at k = 4 that is at most about 55-90 s
 # (t = 27); it admits t <= 26 at k = 5 and t <= 23 at k = 8.
 SWEEP_WORK_CAP = 1 << 30
-# Colorings that srcp_oracle tries one at a time, one subset BFS each (30 to
-# 90 us per coloring at t = 6..12), are refused beyond this many: about half a
-# minute of work.  SWEEP_WORK_CAP sizes the numpy sweep instead.
+# Colorings that srcp_oracle tries one at a time, one reset-word search each
+# (30 to 90 us per coloring at t = 6..12), are refused beyond this many: about
+# half a minute of work.  SWEEP_WORK_CAP sizes the numpy sweep instead.
 ORACLE_ENUMERATION_CAP = 1 << 19
 _SWEEP_CHUNK = 1 << 13
 # The vectorized sweep walks the 2^k words of length k depth-first, one image
 # array per depth (O(k * chunk) memory) and 2^(k+1) - 2 steps per chunk; the
-# per-coloring BFS path takes over beyond this depth.
+# per-coloring search takes over beyond this depth.
 _SWEEP_WORD_DEPTH_CAP = 8
 
 
@@ -241,7 +241,8 @@ class KernelResult:
 
 
 def kernelize(g: Multigraph, k: int) -> KernelResult:
-    """Reduce out-degree to at most t*(pin_bound(t)-1), preserving the answer.
+    """Reduce out-degree to at most max(t*(pin_bound(t)-1), t), preserving
+    the answer.
 
     For k >= pin_bound(t) the instance is already a yes; a fixed trivial yes
     instance (single vertex, all self-loops, k'=0) is returned.  Otherwise
@@ -249,7 +250,9 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
     multiedge (ties to the smallest target), until the out-degree bound
     holds; it keeps the lowest slots of each target.  One count and one heap
     per vertex, so the work is O(d log t) per vertex.  The vertex set never
-    changes.
+    changes.  With at least t edges left no vertex loses a target, so the
+    kernel stays admissible; the floor t binds only at t = 2, where
+    t*(pin_bound(t)-1) = 0 and k = 0 is a no at every out-degree.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
@@ -260,7 +263,7 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
     if k >= z:
         trivial = Multigraph(1, (tuple([0] * d),))
         return KernelResult(trivial, 0, True, True)
-    degree = min(d, g.t * (z - 1))
+    degree = min(d, max(g.t * (z - 1), g.t))
     edges = []
     for v, ts in enumerate(g.out_edges):
         heap = [(-count, u) for u, count in Counter(ts).items()]
@@ -283,13 +286,10 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
         edges.append(tuple(row))
     result = Multigraph(g.t, tuple(edges))
     preserved: Optional[bool]
-    if degree == 0:
+    try:
+        preserved = is_aperiodic(result)
+    except InvalidInputError:
         preserved = None
-    else:
-        try:
-            preserved = is_aperiodic(result)
-        except InvalidInputError:
-            preserved = None
     return KernelResult(result, k, False, preserved)
 
 

@@ -1,19 +1,21 @@
 """Synchronization tests and exact shortest reset words.
 
 The polynomial decision uses backward closure over state pairs; the exact
-search is a breadth-first walk over images of the full state set, packed as
-bitmasks.  The two are algorithmically independent, so they cross-validate.
+search is a bidirectional breadth-first search over state sets packed as
+bitmasks: images of the full set forward, preimages of the singletons
+backward, until a forward set lies inside a backward one.  The two are
+algorithmically independent, so they cross-validate.
 
-The walk steps a set through byte tables: per block of 8 states, a 256-row
-table maps the block's bits to their images under every letter, so the images
-of a set are one row per nonzero byte, OR-ed together.  The same step serves
-every width, masks of more than 64 states included.
+Both sides step a set through byte tables: per block of 8 states, a 256-row
+table maps the block's bits to their images (or preimages) under every
+letter at once, one field per letter, so a step is one row per nonzero byte,
+OR-ed together.  The same step serves every width, masks of more than
+64 states included.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from operator import or_
 from typing import Optional
 
 from .automata import Dfa, Word
@@ -63,39 +65,102 @@ def is_synchronizing(a: Dfa) -> bool:
     return all(reached[pair_id(p, q)] for p in range(t) for q in range(p + 1, t))
 
 
-def _byte_tables(a: Dfa) -> list[list[tuple[int, ...]]]:
-    """Image tables over 8-state blocks: tables[p][v][x] is the image, under
-    letter x, of the states 8p..8p+7 whose bits are set in the byte v.
+def _field_bits(t: int) -> int:
+    """Width of the field that holds one set of t states in a packed
+    integer: whole bytes, with at least one bit to spare above the set."""
+    return 8 * (t // 8 + 1)
 
-    Each letter's table is built by doubling over the block's states; the
-    letters are then zipped together, so one lookup per block gives the
-    images under every letter.  Letters that act alike on a block share one
-    table, as many letters of a composed automaton do on its guard cells.
+
+def _image_masks(a: Dfa) -> list[int]:
+    """Per state p, one field per letter x at bit x * _field_bits(t),
+    holding the state delta[p][x]."""
+    w = _field_bits(a.t)
+    return [sum(1 << q + x * w for x, q in enumerate(row)) for row in a.delta]
+
+
+def _preimage_masks(a: Dfa) -> list[int]:
+    """Per state q, one field per letter x at bit x * _field_bits(t),
+    holding the states p with delta[p][x] = q."""
+    w = _field_bits(a.t)
+    masks = [0] * a.t
+    for p, row in enumerate(a.delta):
+        for x, q in enumerate(row):
+            masks[q] |= 1 << p + x * w
+    return masks
+
+
+def _byte_tables(masks: list[int]) -> list[list[int]]:
+    """Tables over 8-state blocks: tables[p][v] is the OR of masks[q] over
+    the states q = 8p..8p+7 whose bits are set in the byte v.
+
+    The masks pack one field per letter (_image_masks, _preimage_masks), so
+    one OR per nonzero byte of a set gives its images, or its preimages,
+    under every letter at once; field x is the set under letter x.  Each
+    table is built by doubling over the block's states.
     """
-    blocks = []
-    for start in range(0, a.t, 8):
-        built: dict[tuple[int, ...], list[int]] = {}
-        per_letter = []
-        for x in range(a.alphabet_size):
-            targets = tuple(a.delta[v][x] for v in range(start, min(start + 8, a.t)))
-            table = built.get(targets)
-            if table is None:
-                table = built[targets] = [0]
-                for q in targets:
-                    bit = 1 << q
-                    table += [image | bit for image in table]
-            per_letter.append(table)
-        blocks.append(list(zip(*per_letter)))
-    return blocks
+    tables = []
+    for start in range(0, len(masks), 8):
+        table = [0]
+        for mask in masks[start:start + 8]:
+            table += [row | mask for row in table]
+        tables.append(table)
+    return tables
+
+
+def _step(tables: list[list[int]], cur: int) -> int:
+    """The packed images (or preimages) of cur under every letter."""
+    low, *high = tables
+    images = low[cur & 255]
+    for shift, table in enumerate(high, 1):
+        byte = (cur >> 8 * shift) & 255
+        if byte:
+            images |= table[byte]
+    return images
+
+
+def _pack(sets: list[int], t: int) -> tuple[int, int, int]:
+    """Sets of t states in one integer, field i at bit i * _field_bits(t):
+    the packed sets, `ones` with a 1 at the bottom of every field, and
+    `guard` with a 1 just above every field's t bits."""
+    width = _field_bits(t) // 8
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(sets), "little")
+    packed = int.from_bytes(b"".join(s.to_bytes(width, "little") for s in sets),
+                            "little")
+    return packed, ones, ones << t
+
+
+def _disjoint(pack: tuple[int, int, int], v: int) -> int:
+    """The guard bits of the packed sets that are disjoint from v.
+
+    v * ones copies v into every field, and a field of packed & v * ones is
+    0 exactly when its set misses v; subtracting ones then clears the guard
+    bit set above it, and only there."""
+    packed, ones, guard = pack
+    return guard & ~((packed & v * ones | guard) - ones)
 
 
 def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
-    """Shortest reset word by subset BFS, or None if none exists (within limit).
+    """Shortest reset word by bidirectional subset search, or None if none
+    exists (within limit).
 
-    Letters are expanded in increasing order, so among equal-length reset words
-    the lexicographically least is returned; repeated calls are identical.
-    The images of a set under all letters are the OR, over its nonzero bytes,
-    of one _byte_tables row each.
+    The forward side walks the images of the full set, level by level; the
+    backward side the preimages of the singletons.  A set f of forward level
+    i inside a set of backward level j gives a reset word of length i + j.
+    Each step moves one side and tests only the new pair of levels, so the
+    first meeting is at the shortest length: every split of a shortest word
+    meets at its own pair.  Both sides keep only sets new to them, and the
+    backward side only the maximal ones of each level (Kisielewicz,
+    Kowalski and Szykuła, J. Comb. Optim. 29, 2015): a set inside another
+    holds no more forward sets, and neither do its preimages.
+
+    Each step moves the side with the smaller frontier, the backward one
+    counted as the new preimages its last step found.
+
+    The word is the lexicographically least of that length.  Its prefix is
+    the parent chain of the first meeting forward set, in frontier order,
+    with letters expanded in increasing order; it is completed with the
+    least letter whose image lies inside a set of the backward level one
+    shorter, step by step.  Repeated calls are identical.
     """
     if limit is not None and limit < 0:
         raise InvalidInputError("limit must be >= 0")
@@ -104,35 +169,109 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
         return ()
     if limit == 0:
         return None
-    low, *high = _byte_tables(a)
+    forward_tables = _byte_tables(_image_masks(a))
+    low, *high = forward_tables
     high_blocks = list(zip(range(8, t, 8), high))
     full = (1 << t) - 1
+    stride = _field_bits(t)
+    letters = range(a.alphabet_size)
     parent: dict[int, tuple[int, int]] = {full: (-1, -1)}
     frontier = [full]
-    level = 0
-    while frontier and (limit is None or level < limit):
-        level += 1
-        nxt_frontier = []
-        for cur in frontier:
-            images = low[cur & 255]
-            for shift, table in high_blocks:
-                byte = (cur >> shift) & 255
-                if byte:
-                    images = map(or_, images, table[byte])
-            for x, nxt in enumerate(images):
-                if nxt in parent:
-                    continue
-                parent[nxt] = (cur, x)
-                if nxt & (nxt - 1) == 0:
-                    word = []
-                    node = nxt
-                    while parent[node][1] != -1:
-                        node, letter = parent[node]
-                        word.append(letter)
-                    word.reverse()
-                    return tuple(word)
-                nxt_frontier.append(nxt)
-        frontier = nxt_frontier
+    inside = None  # _pack(frontier, t), built when the backward side needs it
+    backward = [[1 << q for q in range(t)]]
+    outside = None  # _pack of the complements of backward[-1]
+    found = t  # new sets of the backward side's last step: its frontier size
+    seen = {0, *backward[0]}  # so the empty preimage is never kept
+    pre_masks: list[int] = []
+    backward_tables: list[list[int]] = []
+
+    def complete(f: int, rest: int) -> Word:
+        word = []
+        node = f
+        while parent[node][1] != -1:
+            node, letter = parent[node]
+            word.append(letter)
+        word.reverse()
+        for r in range(rest - 1, -1, -1):
+            level = _pack([full ^ b for b in backward[r]], t)
+            images = _step(forward_tables, f)
+            x = 0
+            while not _disjoint(level, (images >> x * stride) & full):
+                x += 1
+            word.append(x)
+            f = (images >> x * stride) & full
+        return tuple(word)
+
+    length = 0
+    while limit is None or length < limit:
+        length += 1
+        if len(frontier) <= found:
+            if outside is None and len(backward) > 1:
+                outside = _pack([full ^ b for b in backward[-1]], t)
+            nxt_frontier = []
+            for cur in frontier:
+                images = low[cur & 255]
+                for shift, table in high_blocks:
+                    byte = (cur >> shift) & 255
+                    if byte:
+                        images |= table[byte]
+                for x in letters:
+                    nxt = images & full
+                    images >>= stride
+                    if nxt in parent:
+                        continue
+                    parent[nxt] = (cur, x)
+                    # Inside a singleton while the backward side has not
+                    # moved, else inside a set of its last level.
+                    if (nxt & (nxt - 1) == 0 if outside is None
+                            else _disjoint(outside, nxt)):
+                        return complete(nxt, len(backward) - 1)
+                    nxt_frontier.append(nxt)
+            frontier = nxt_frontier
+            inside = None
+            if not frontier:
+                return None
+        else:
+            if len(backward) == 1:
+                # A singleton's preimages are its mask, so the tables wait
+                # for the second backward step.
+                pre_masks = _preimage_masks(a)
+                steps = pre_masks
+            else:
+                if len(backward) == 2:
+                    backward_tables = _byte_tables(pre_masks)
+                steps = [_step(backward_tables, cur) for cur in backward[-1]]
+            candidates = []
+            for images in steps:
+                for x in letters:
+                    pre = images & full
+                    images >>= stride
+                    if pre not in seen:
+                        seen.add(pre)
+                        candidates.append(pre)
+            # Largest first, so a set is kept only when no kept set holds it.
+            candidates.sort(key=int.bit_count, reverse=True)
+            level, complements = [], []
+            for pre in candidates:
+                for rest in complements:
+                    if not pre & rest:
+                        break
+                else:
+                    level.append(pre)
+                    complements.append(full ^ pre)
+            if not level:
+                return None
+            backward.append(level)
+            outside = None
+            found = len(candidates)
+            if inside is None:
+                inside = _pack(frontier, t)
+            hits = 0
+            for rest in complements:
+                hits |= _disjoint(inside, rest)
+            if hits:
+                f = frontier[((hits & -hits).bit_length() - 1) // stride]
+                return complete(f, len(backward) - 1)
     return None
 
 

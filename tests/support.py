@@ -132,10 +132,11 @@ def bitloop_shortest_reset_word(a: Dfa, limit: Optional[int] = None):
 def passwise_kernel_graph(g: Multigraph) -> Multigraph:
     """The kernel's degree reduction one pass at a time: each pass recounts
     every vertex's targets and deletes one edge from a maximum-multiplicity
-    multiedge (ties to the smallest target, deleting its highest slot).  The
-    reference for `srcp.kernelize` at k < pin_bound(t), which counts once."""
+    multiedge (ties to the smallest target, deleting its highest slot), down
+    to max(t * (z - 1), t) edges.  The reference for `srcp.kernelize` at
+    k < pin_bound(t), which counts once."""
     z = pin_bound(g.t)
-    threshold = g.t * (z - 1)
+    threshold = max(g.t * (z - 1), g.t)
     edges = [list(ts) for ts in g.out_edges]
     degree = len(edges[0])
     while degree > threshold:

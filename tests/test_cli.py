@@ -51,6 +51,19 @@ def test_gen_and_sync_shortest(tmp_path, capsys):
     assert not big.exists()
 
 
+def test_sync_shortest_cerny_32(tmp_path, capsys):
+    dfa_path = tmp_path / "c32.txt"
+    start = time.perf_counter()
+    assert run(capsys, "gen", "cerny", "--n", "32", "--out", str(dfa_path))[0] == 0
+    code, out, err = run(capsys, "sync", "shortest", "--in", str(dfa_path))
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    length, word = out.split()
+    assert length == "961" and len(word) == 961
+    dfa = parse_dfa(dfa_path.read_text())
+    assert len(apply_word(dfa, dfa.full_set(), word_from_str(word, dfa.alphabet_size))) == 1
+
+
 def test_sync_check_json(tmp_path, capsys):
     dfa_path = tmp_path / "c3.txt"
     run(capsys, "gen", "cerny", "--n", "3", "--out", str(dfa_path))
@@ -200,8 +213,8 @@ def test_srcp_kernel_roundtrip(tmp_path, capsys):
 
 
 def test_srcp_kernel_at_out_degree_40000(tmp_path, capsys):
-    # t = 2 and k = 0 cut every edge.  Recounting each vertex's targets for
-    # every deleted edge took minutes at this out-degree.
+    # t = 2 and k = 0 cut all but t = 2 edges.  Recounting each vertex's
+    # targets for every deleted edge took minutes at this out-degree.
     rng = random.Random(5)
     path = tmp_path / "wide.txt"
     path.write_text(write_graph(make_graph(
@@ -211,7 +224,24 @@ def test_srcp_kernel_at_out_degree_40000(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert (code, err) == (0, "")
     assert json.loads(out)["report"] == {"trivially_yes": False,
-                                         "aperiodicity_preserved": None}
+                                         "aperiodicity_preserved": True}
+
+
+def test_srcp_kernel_out_file_is_decided(tmp_path, capsys):
+    # At t = 2 the out-degree floor binds: k = 0 once wrote `graph 2 0`,
+    # which no command could read back.
+    cases = [([(0, 1), (1, 0)], 0), ([(0, 1, 1, 0), (1, 1, 0, 0)], 0),
+             ([(0, 0, 1, 1, 0)] * 2, 0),
+             ([(0, 1, 1, 1, 2, 2, 0, 0, 1, 2, 1, 2)] * 3, 3)]
+    src, kernel = tmp_path / "g.txt", tmp_path / "kernel.txt"
+    for rows, k in cases:
+        src.write_text(write_graph(make_graph(rows)))
+        code, out, _ = run(capsys, "srcp", "kernel", "--in", str(src), "--k", str(k),
+                           "--out", str(kernel))
+        assert code == 0
+        answer = run(capsys, "srcp", "decide", "--in", str(src), "--k", str(k))
+        kernel_answer = run(capsys, "srcp", "decide", "--in", str(kernel), "--k", out.split()[0])
+        assert answer == kernel_answer == (0, "YES\n" if k else "NO\n", ""), rows
 
 
 def test_srcpw_decide_with_witness(tmp_path, capsys):

@@ -21,6 +21,7 @@ from roadsync.compose import (
     preprocess,
     verify_c1_c2_c3,
     write_batch,
+    _reset_words_of_length as walk_reset_words,
     _word_matches_form,
 )
 from roadsync.errors import InvalidInputError, SizeLimitError
@@ -265,6 +266,21 @@ def test_c2_walk_matches_brute_force():
         assert (report.reset_word_count, report.c2_all_shaped) == expected
         counts.append(report.reset_word_count)
     assert max(counts) > 0
+
+
+def test_c2_walk_words_match_enumeration_at_any_state_count():
+    # The walk reads the images under the last letter as packed fields;
+    # state counts around the byte boundaries move each field's spare bit.
+    rng = random.Random(31)
+    found = 0
+    for t in (1, 2, 3, 7, 8, 9, 15, 16, 17):
+        for _ in range(8):
+            dfa = random_dfa(rng, t, rng.randint(1, 3))
+            for length in (1, 2, 3):
+                words = walk_reset_words(dfa, length)
+                assert words == _reset_words_of_length(dfa, length), (dfa.delta, length)
+                found += len(words)
+    assert found > 0
 
 
 def test_c2_walk_flags_a_misshaped_reset_word():

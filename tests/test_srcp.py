@@ -215,12 +215,18 @@ def test_kernelize_unchanged_below_threshold():
 
 
 def test_kernelize_degenerate_two_states():
-    # t=2: z=1, threshold 0; k=0 deletes every edge, and both sides stay
-    # no-instances (2 states cannot synchronize with the empty word)
-    g = make_graph([(0, 1), (1, 0)])
-    res = kernelize(g, 0)
-    assert out_degree_uniform(res.graph) == 0
-    assert res.aperiodicity_preserved is None
+    # t=2: z=1, threshold 0, so the floor of t edges binds.  Both sides stay
+    # no-instances at k=0 (2 states cannot synchronize with the empty word),
+    # and every vertex keeps its targets, so the kernel stays admissible.
+    rng = random.Random(8)
+    for d in (1, 2, 3, 7):
+        for _ in range(20):
+            g = admissible_random(rng, 2, d)
+            res = kernelize(g, 0)
+            assert out_degree_uniform(res.graph) == min(d, 2)
+            assert [set(ts) for ts in res.graph.out_edges] == [set(ts) for ts in g.out_edges]
+            assert is_admissible(res.graph) and res.aperiodicity_preserved is True
+            assert srcp_decide(res.graph, 0) is False
 
 
 def test_kernelize_reduces_degree_to_threshold():
@@ -244,14 +250,15 @@ def test_kernelize_reduces_degree_to_threshold():
 
 
 def test_kernelize_matches_passwise_reference():
-    # Out-degree past the threshold t * (pin_bound(t) - 1) that k below
-    # pin_bound(t) cuts to; uneven target weights make skewed rows and ties.
+    # Out-degree past the threshold max(t * (pin_bound(t) - 1), t) that k
+    # below pin_bound(t) cuts to; uneven target weights make skewed rows and
+    # ties.
     rng = random.Random(41)
     checked = 0
     while checked < 300:
         t = rng.randint(2, 4)
         k = rng.randrange(pin_bound(t))
-        threshold = t * (pin_bound(t) - 1)
+        threshold = max(t * (pin_bound(t) - 1), t)
         d = threshold + rng.randint(1, 12)
         weights = [rng.choice((1, 1, 8)) for _ in range(t)]
         g = Multigraph(t, tuple(tuple(rng.choices(range(t), weights, k=d)) for _ in range(t)))

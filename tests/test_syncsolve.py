@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -95,7 +97,13 @@ def test_syn_decide_one_state():
     assert syn_decide(make_dfa([(0,)]), 0) is True
 
 
-def test_byte_table_bfs_matches_bitloop_oracle_random():
+def cycle_merge(t: int, d: int):
+    """Letter a: the cycle i -> i+1; letter b: identity except 0 -> d.
+    Synchronizing exactly when gcd(t, d) = 1."""
+    return make_dfa([((i + 1) % t, d if i == 0 else i) for i in range(t)])
+
+
+def test_search_matches_bitloop_oracle_random():
     rng = random.Random(41)
     for _ in range(200):
         a = random_dfa(rng, rng.randint(1, 40), rng.randint(1, 4))
@@ -104,7 +112,22 @@ def test_byte_table_bfs_matches_bitloop_oracle_random():
             a.delta, limit)
 
 
-def test_byte_table_bfs_matches_bitloop_oracle_cerny():
+def test_search_matches_bitloop_oracle_at_limits_around_the_length():
+    # The limits L - 1, L and L + 1 put the last level on either side.
+    rng = random.Random(43)
+    checked = 0
+    while checked < 150:
+        a = random_dfa(rng, rng.randint(2, 14), rng.randint(2, 3))
+        length = len(bitloop_shortest_reset_word(a) or ())
+        if not length:
+            continue
+        for limit in (length - 1, length, length + 1):
+            assert shortest_reset_word(a, limit) == bitloop_shortest_reset_word(a, limit), (
+                a.delta, limit)
+        checked += 1
+
+
+def test_search_matches_bitloop_oracle_cerny():
     for n in range(2, 14):
         a = cerny_automaton(n)
         w = shortest_reset_word(a)
@@ -112,7 +135,42 @@ def test_byte_table_bfs_matches_bitloop_oracle_cerny():
         assert len(w) == (n - 1) ** 2
 
 
-def test_byte_table_bfs_matches_bitloop_oracle_composed():
+def test_search_matches_bitloop_oracle_cycle_merge():
+    # Letter b merges state 0 into d; the reset length is
+    # (t - 1)^2 - (t - 2)(d - 1) when gcd(t, d) = 1, every d in between.
+    for t in (12, 13):
+        for d in range(1, t):
+            a = cycle_merge(t, d)
+            w = shortest_reset_word(a)
+            assert w == bitloop_shortest_reset_word(a), (t, d)
+            if math.gcd(t, d) == 1:
+                assert len(w) == (t - 1) ** 2 - (t - 2) * (d - 1)
+
+
+def test_non_synchronizing_merges_have_no_reset_word():
+    for t in range(4, 17):
+        for d in range(2, t):
+            if math.gcd(t, d) > 1:
+                a = cycle_merge(t, d)
+                assert not is_synchronizing(a)
+                assert shortest_reset_word(a) is None
+                assert shortest_reset_word(a, limit=pin_bound(t)) is None
+
+
+def test_cerny_20_to_32_with_the_length_as_limit():
+    # A forward-only subset search reaches about n = 17 in this time.
+    start = time.perf_counter()
+    for n in range(20, 33):
+        a = cerny_automaton(n)
+        w = shortest_reset_word(a)
+        assert len(w) == (n - 1) ** 2
+        assert len(apply_word(a, a.full_set(), w)) == 1
+        assert shortest_reset_word(a, limit=len(w)) == w
+        assert shortest_reset_word(a, limit=len(w) - 1) is None
+    assert time.perf_counter() - start < 2
+
+
+def test_search_matches_bitloop_oracle_composed():
     # Composed automata of t = 4 batches have 71 (m = 4) and 93 (m = 8)
     # states, so their state sets span more than 64 bits.
     # Budgets of 0 make a batch whose answer is NO: no item of t = 4 states
