@@ -39,7 +39,7 @@ from .graphs import (
     is_aperiodic,
     out_degree_uniform,
 )
-from .srcpw import SEARCH_NODE_BUDGET, abb_witness_target, first_word_coloring
+from .srcpw import SEARCH_NODE_BUDGET, first_word_coloring
 from .syncsolve import pin_bound, shortest_reset_word
 
 # The numpy sweep's work, 2^(t-1) colorings times 2^k words, is refused past
@@ -315,15 +315,9 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     coloring is a per-vertex bijection from slots to letters), so the letters
     can be renamed into first-occurrence order.  SRCP(g, k) therefore holds
     iff g lies in G_w for one of the pattern_words(k, d), and
-    first_word_coloring decides that over the words in order.  At d = 2 and
-    k = 3 the word abb goes through abb_witness_target instead, after the
-    others: a witness target is always sound, and it exists for every member
-    of G_abb outside G_aaa and G_aba, which the earlier words cover.
+    first_word_coloring decides that over all of them in one search.
 
-    The empty word resets no graph of two or more vertices, so at k = 0 no
-    word is searched.
-
-    Raises SizeLimitError before any search when the searched words times the
+    Raises SizeLimitError before any search when the pattern words times the
     t targets, the (word, target) pairs a NO instance tries, pass
     SEARCH_NODE_BUDGET, and during the search once it has tried more than
     SEARCH_NODE_BUDGET choices over all words.
@@ -331,8 +325,6 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("needs uniform out-degree")
-    if g.t == 1:
-        return True
     most = SEARCH_NODE_BUDGET // g.t
     longest = most.bit_length() + 1
     refusal = SizeLimitError(
@@ -343,11 +335,7 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     # walked k - 1 layers deep per target, work the budget does not count.
     if k > longest:
         raise refusal
-    abb_by_witness = d == 2 and k == 3
-    searched = (w for w in pattern_words(k, d)
-                if w and not (abb_by_witness and w == (0, 1, 1)))
-    words = list(islice(searched, most + 1))
+    words = list(islice(pattern_words(k, d), most + 1))
     if len(words) > most:
         raise refusal
-    return (first_word_coloring(g, words) is not None
-            or (abb_by_witness and abb_witness_target(g) is not None))
+    return first_word_coloring(g, words) is not None

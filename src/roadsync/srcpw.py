@@ -10,18 +10,19 @@ fixpoint's hit sets start from the backward walk layers of q
 (`graphs.walk_layers`, cut at depth |w| - 1), and the fixpoint is the only
 target filter: it rejects every q that some vertex has no walk of exactly
 |w| edges to, so no distance search runs.  `first_word_coloring` runs the
-same search over a sequence of words, with one work budget of
-SEARCH_NODE_BUDGET search nodes (choices tried) per call, over all words and
-targets; past it the call raises SizeLimitError instead of running for
-minutes.
+same search over a sequence of words, target by target, each target's walk
+layers serving every word, with one work budget of SEARCH_NODE_BUDGET search
+nodes (choices tried) over all words and targets; past it the call raises
+SizeLimitError instead of running for minutes.  SRCP at every k is a union
+of classes G_w, decided by `srcp.srcp_exists_by_patterns` through it.
 
 `decide_aaa`, `decide_aab` and `decide_aba` run at any out-degree through
-it; the rest is out-degree 2 only.  The abb class additionally has a
-characterization by V_2(q), the vertices at distance exactly 2 from q, which
-doubles as a witness construction; V_2(q) is read off the first three walk
-layers.  The aaa class reduces to a self-loop plus three backward layers.
-An abb witness recolors to an aba one.  SRCP at every k is a union of
-classes G_w, decided by `srcp.srcp_exists_by_patterns`.
+it; the rest is out-degree 2 only.  The abb class additionally has the
+paper's characterization by V_2(q), the vertices at distance exactly 2 from
+q, which doubles as a witness construction; V_2(q) is read off the first
+three walk layers.  `decide_abb` rests on it; the SRCP decision searches abb
+like any other word.  The aaa class reduces to a self-loop plus three
+backward layers.  An abb witness recolors to an aba one.
 """
 
 from __future__ import annotations
@@ -73,34 +74,40 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
 
 
 def first_word_coloring(g: Multigraph, words: Iterable[Sequence[int]]) -> Optional[Coloring]:
-    """For the first of words (in order) with g in G_w, the coloring
-    `fixed_word_coloring` returns; None if g lies in no G_w.
+    """A coloring that resets g by one of words, or None if g lies in no G_w.
 
-    One SEARCH_NODE_BUDGET covers every word and target, and the choice
-    lists are built once per letter set.  A reset word pads to any longer
-    length (a singleton image stays a singleton), and renaming letters maps
-    colorings to colorings, so SRCP at k is the union of G_w over the words
-    of `srcp.pattern_words(k, d)`; that is how `srcp.srcp_exists_by_patterns`
-    decides it.
+    Targets run on the outside and words on the inside, so the result is
+    `fixed_word_coloring` of the first word reaching the least target any does.
+    Each target is walked once, to the depth of the longest word.  Every
+    word's letters are checked before the first search, one
+    SEARCH_NODE_BUDGET covers every word and target, and the choice lists
+    are built once per letter set.  A reset word pads to any longer length (a
+    singleton image stays a singleton), and renaming letters maps colorings
+    to colorings, so SRCP at k is the union of G_w over the words of
+    `srcp.pattern_words(k, d)`; `srcp.srcp_exists_by_patterns` decides it so.
     """
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("fixed-word search needs uniform out-degree")
+    words = [tuple(w) for w in words]
+    if any(not 0 <= x < d for w in words for x in w):
+        raise InvalidInputError(f"word letters must lie below the out-degree {d}")
+    # Every word, the empty one too, resets the one-vertex graph by the
+    # identity coloring; the empty word resets no larger graph.
+    if g.t == 1:
+        return Coloring((tuple(range(d)),)) if words else None
+    words = [w for w in words if w]
+    if not words:
+        return None
+    letter_sets = [tuple(sorted(set(w))) for w in words]
+    choices = {letters: [_choice_table(tuple(map(ts.index, ts)), letters, d)
+                         for ts in g.out_edges] for letters in dict.fromkeys(letter_sets)}
     budget = [SEARCH_NODE_BUDGET]
-    choices: dict[tuple[int, ...], list[tuple]] = {}
-    for w in map(tuple, words):
-        if any(not 0 <= x < d for x in w):
-            raise InvalidInputError(f"word letters must lie below the out-degree {d}")
-        if not w:
-            if g.t == 1:
-                return Coloring((tuple(range(d)),))
-            continue
-        letters = tuple(sorted(set(w)))
-        if letters not in choices:
-            choices[letters] = [_choice_table(tuple(map(ts.index, ts)), letters, d)
-                                for ts in g.out_edges]
-        for q in range(g.t):
-            coloring = _fixed_word_at(g, w, q, choices[letters], budget)
+    longest = max(map(len, words))
+    for q in range(g.t):
+        walks = walk_layers(g, q, longest - 1)
+        for w, letters in zip(words, letter_sets):
+            coloring = _fixed_word_at(g, w, q, walks, choices[letters], budget)
             if coloring is not None:
                 return coloring
     return None
@@ -141,9 +148,10 @@ def _choice_table(shape: tuple[int, ...], letters: tuple[int, ...], d: int) -> t
     return tuple(rows), slots
 
 
-def _fixed_word_at(g: Multigraph, w: Word, q: int, choices: list[tuple],
-                   budget: list[int]) -> Optional[Coloring]:
-    """The first coloring that resets by w to q; each choice tried spends 1 of budget[0]."""
+def _fixed_word_at(g: Multigraph, w: Word, q: int, walks: list[frozenset[int]],
+                   choices: list[tuple], budget: list[int]) -> Optional[Coloring]:
+    """The first coloring that resets by w to q; each choice tried spends 1 of
+    budget[0].  walks is `walk_layers(g, q, depth)` at any depth >= |w| - 1."""
     t, L = g.t, len(w)
     tgt = g.out_edges
     levels = range(1, L)
@@ -163,7 +171,6 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int, choices: list[tuple],
     # reaches the same hit sets from both.
     # hit[1] then lies in the (L-1)-step backward cone, so the duty-0 check
     # before the first round rejects every q that a cone filter would skip.
-    walks = walk_layers(g, q, L - 1)
     hit = [frozenset()] + [walks[L - i] for i in levels]
     while True:
         # Any slot can carry letter w_0, so duty 0 holds iff an out-edge

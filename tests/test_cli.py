@@ -151,6 +151,17 @@ def test_srcpw_decide_search_budget(capsys):
     assert err.startswith("size limit:")
 
 
+def test_srcp_decide_answers_planted_abb(capsys):
+    # The planted t = 200 abb graph.  The aba search alone spends the whole
+    # budget on it; searched target by target, abb resets it at its planted
+    # target first.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "srcp", "decide", "--k", "3",
+                         "--in", str(DATA / "planted_abb_t200.txt"))
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, "YES\n", "")
+
+
 def test_srcp_decide_refuses_long_enumeration_up_front(tmp_path, capsys):
     # Out-degree 3 at t = 10 has 6^10 = 60.5 M colorings, and the ring graph
     # v -> v+1, v+2 at t = 24 has 2^23 colorings to sweep under 2^8 words
@@ -294,6 +305,21 @@ def test_gen_compose_pipeline(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["answer"] is True
     assert payload["report"]["c1_no_short_reset"] is True
+
+
+def test_verify_compose_answers_big_batches_like_gen_compose(tmp_path, capsys):
+    # m = 4 items at t = 2 leave m >= 2^t after preprocessing, so the batch
+    # is decided by the big-m branch, not composed; both commands answer it.
+    batch = "batch 4 2\n" + "".join(f"item 0 1\n{r0}\n{r1}\n"
+                                      for r0, r1 in ((0, 1), (1, 0), (0, 0), (1, 1)))
+    path = tmp_path / "batch.txt"
+    path.write_text(batch)
+    assert run(capsys, "gen", "compose", "--batch", str(path)) == (0, "NO\n", "")
+    code, out, err = run(capsys, "--json", "verify", "compose", "--batch", str(path))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["answer"] is False
+    assert payload["report"] == {"short_circuit": True}
 
 
 def test_sat_reduce_pipeline(tmp_path, capsys):

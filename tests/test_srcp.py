@@ -364,23 +364,23 @@ def test_pattern_decision_caps(monkeypatch):
     assert srcp_exists_by_patterns(_ring(t), 4) is False
     with pytest.raises(SizeLimitError):
         srcp_exists_by_patterns(_ring(t + 1), 4)
-    # k = 3 has 4, the last of them (abb) decided by its witness.
-    assert srcp_exists_by_patterns(_ring(t + 1), 3) is False
-    # Only the searched words count: at k = 3 the three before abb, so
-    # t = SEARCH_NODE_BUDGET // 3 is searched; at k = 0 none, so no t is
-    # refused (k = 1 is, past SEARCH_NODE_BUDGET targets).
-    third, past = srcp.SEARCH_NODE_BUDGET // 3, srcp.SEARCH_NODE_BUDGET + 1
-    assert srcp_exists_by_patterns(_ring(third), 3) is False
-    assert srcp_exists_by_patterns(_ring(past), 0) is False
+    # k = 3 has 4, abb among them; k = 1 has one word, and so has k = 0: the
+    # empty word, which costs no walk but counts like any other.
+    quarter, most = srcp.SEARCH_NODE_BUDGET // 4, srcp.SEARCH_NODE_BUDGET
+    assert srcp_exists_by_patterns(_ring(quarter), 3) is False
     with pytest.raises(SizeLimitError):
-        srcp_exists_by_patterns(_ring(past), 1)
+        srcp_exists_by_patterns(_ring(quarter + 1), 3)
+    assert srcp_exists_by_patterns(_ring(most), 0) is False
+    for k in (0, 1):
+        with pytest.raises(SizeLimitError):
+            srcp_exists_by_patterns(_ring(most + 1), k)
     # A long k is refused before one of its words is built, at out-degree 1
     # too, where its one word would be walked k - 1 layers deep.
     path = make_graph([(min(v + 1, 999),) for v in range(1000)])
     for g in (_ring(1000), path):
         with pytest.raises(SizeLimitError):
             srcp_exists_by_patterns(g, 10 ** 8)
-    assert searched == [(t, 8), (t + 1, 3), (third, 3), (past, 0)]
+    assert searched == [(t, 8), (quarter, 4), (most, 1)]
 
 
 def test_srcp_decide_falls_back_to_the_oracle(monkeypatch):

@@ -298,12 +298,25 @@ def test_abb_witness_target_is_always_sound():
     assert witnessed > 100
 
 
+def _spy_everywhere(monkeypatch, fn, calls):
+    """Record the arguments of every call to fn through any roadsync module."""
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "roadsync" or name.startswith("roadsync."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spy)
+
+
 def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
-    # One search over the words aaa, aab and aba, each (word, target) pair
-    # once, the choice lists built once per letter set; abb by its witness.
-    searched, pairs, tables, witnesses = [], [], [], []
+    # One search over the words aaa, aab, aba and abb, target by target:
+    # each (word, target) pair once, each target walked once to depth 2, the
+    # choice lists built once per letter set, and no abb witness asked.
+    searched, pairs, tables, walks, witnesses = [], [], [], [], []
     search, fixed_word_at = srcp.first_word_coloring, srcpw._fixed_word_at
-    choice_table, witness = srcpw._choice_table, srcp.abb_witness_target
 
     def search_spy(g, words):
         searched.append(list(words))
@@ -313,27 +326,65 @@ def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
         pairs.append((w, q))
         return fixed_word_at(g, w, q, *args)
 
-    def choice_table_spy(*args):
-        tables.append(args)
-        return choice_table(*args)
-
-    def witness_spy(g):
-        witnesses.append(g)
-        return witness(g)
-
     monkeypatch.setattr(srcp, "first_word_coloring", search_spy)
     monkeypatch.setattr(srcpw, "_fixed_word_at", fixed_word_at_spy)
-    monkeypatch.setattr(srcpw, "_choice_table", choice_table_spy)
-    monkeypatch.setattr(srcp, "abb_witness_target", witness_spy)
+    _spy_everywhere(monkeypatch, srcpw._choice_table, tables)
+    _spy_everywhere(monkeypatch, walk_layers, walks)
+    _spy_everywhere(monkeypatch, abb_witness_target, witnesses)
     t = 12
     g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
     assert srcp_decide(g, 3) is False
     assert srcp_oracle(g, 3) is None
-    words = [WORDS["aaa"], WORDS["aab"], WORDS["aba"]]
+    words = list(WORDS.values())
     assert searched == [words]
-    assert pairs == [(w, q) for w in words for q in range(t)]
+    assert pairs == [(w, q) for q in range(t) for w in words]
+    assert [(q, depth) for _, q, depth in walks] == [(q, 2) for q in range(t)]
     assert len(tables) == 2 * t
-    assert witnesses == [g]
+    assert witnesses == []
+
+
+def test_first_word_coloring_takes_the_least_target():
+    # Several words: the coloring resets g by one of them, at the least
+    # target that fixed_word_coloring finds for any of them, and it is the
+    # first word's coloring at that target.
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(300):
+        d = rng.choice((2, 2, 3))
+        g = random_multigraph(rng, rng.randint(2, 8), d)
+        words = rng.sample(list(srcp.pattern_words(rng.randint(3, 4), d)), 3)
+        found = srcpw.first_word_coloring(g, words)
+        firsts = []
+        for w in words:
+            c = fixed_word_coloring(g, w)
+            if c is not None:
+                dfa = apply_coloring(g, c)
+                (q,) = apply_word(dfa, dfa.full_set(), w)
+                firsts.append((q, c))
+        if not firsts:
+            assert found is None
+            continue
+        least = min(q for q, _ in firsts)
+        assert found == next(c for q, c in firsts if q == least)
+        checked += 1
+    assert checked > 100
+
+
+def test_first_word_coloring_checks_every_word_first(monkeypatch):
+    # A bad letter in the last word is refused before any search runs.
+    calls = []
+    monkeypatch.setattr(srcpw, "_fixed_word_at", lambda *args: calls.append(args))
+    g = make_graph([(1, 2), (2, 0), (0, 1)])
+    with pytest.raises(InvalidInputError):
+        srcpw.first_word_coloring(g, [WORDS["aaa"], WORDS["aab"], (0, 2, 1)])
+    assert calls == []
+    # The empty word resets only the one-vertex graph, and costs no walk.
+    walks = []
+    _spy_everywhere(monkeypatch, walk_layers, walks)
+    assert srcpw.first_word_coloring(g, [()]) is None
+    assert srcpw.first_word_coloring(make_graph([(0, 0)]), [()]) == Coloring(((0, 1),))
+    assert srcpw.first_word_coloring(g, []) is None
+    assert calls == [] and walks == []
 
 
 def test_distance_two_matches_shortest_distances():
@@ -352,23 +403,12 @@ def test_distance_two_matches_shortest_distances():
 
 
 def test_k3_decide_walks_at_most_two_layers(monkeypatch):
-    # Wrap walk_layers at every name it is bound to in roadsync, so that a
-    # call through any module counts.
     depths = []
-
-    def spy(g, q, depth):
-        depths.append(depth)
-        return walk_layers(g, q, depth)
-
-    for name, module in list(sys.modules.items()):
-        if name == "roadsync" or name.startswith("roadsync."):
-            for attr, value in list(vars(module).items()):
-                if value is walk_layers:
-                    monkeypatch.setattr(module, attr, spy)
+    _spy_everywhere(monkeypatch, walk_layers, depths)
     t = 12
     g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
     assert srcp_decide(g, 3) is False
-    assert depths and max(depths) <= 2
+    assert depths and max(depth for _, _, depth in depths) <= 2
 
 
 def test_fixed_word_search_budget():
