@@ -63,6 +63,7 @@ from .compose import (
     big_m_branch,
     compose,
     compose_or_decide,
+    decide_early,
     pattern_functions,
     pattern_subset,
     pattern_width,

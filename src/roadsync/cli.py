@@ -18,12 +18,11 @@ from typing import Optional
 
 from . import satreduce
 from .compose import (
-    big_m_branch,
     compose as compose_batch,
     compose_or_decide,
+    decide_early,
     names_json as compose_names_json,
     parse_batch,
-    preprocess,
     verify_c1_c2_c3,
 )
 from .automata import (
@@ -166,11 +165,9 @@ def _gen_sat_reduce(args, out: _Output) -> None:
 
 
 def _verify_compose(args, out: _Output) -> None:
-    pre = preprocess(*parse_batch(_read(args.batch)))
-    # Preprocessing or the big-m branch may decide it, as in `gen compose`.
-    early = pre.answer if pre.answer is not None else big_m_branch(pre.batch)
-    if early is not None:
-        out.answer(early)
+    pre = decide_early(*parse_batch(_read(args.batch)))
+    if pre.batch is None:
+        out.answer(pre.answer)
         out.report({"short_circuit": True})
         return
     report = verify_c1_c2_c3(compose_batch(pre.batch), pre.batch)

@@ -270,17 +270,17 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
     )
 
 
-def compose_or_decide(raw: Sequence[tuple[Dfa, int]], t: int):
-    """Full pipeline: preprocess, big-m shortcut, else compose."""
+def decide_early(raw: Sequence[tuple[Dfa, int]], t: int) -> PreprocessResult:
+    """Preprocess, then the big-m shortcut: the answer if either decides, else the batch."""
     pre = preprocess(raw, t)
-    if pre.answer is not None:
-        return pre.answer
-    if pre.batch is None:
-        raise RuntimeError("preprocess returned neither an answer nor a batch")
-    early = big_m_branch(pre.batch)
-    if early is not None:
-        return early
-    return compose(pre.batch)
+    early = None if pre.batch is None else big_m_branch(pre.batch)
+    return pre if early is None else PreprocessResult(early, None)
+
+
+def compose_or_decide(raw: Sequence[tuple[Dfa, int]], t: int):
+    """Full pipeline: the early exits of `decide_early`, else compose."""
+    pre = decide_early(raw, t)
+    return pre.answer if pre.batch is None else compose(pre.batch)
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,8 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     Raises SizeLimitError before any search when the pattern words times the
     t targets, the (word, target) pairs a NO instance tries, pass
     SEARCH_NODE_BUDGET, and during the search once it has tried more than
-    SEARCH_NODE_BUDGET choices over all words.
+    SEARCH_NODE_BUDGET choices over all words.  The empty word, the one
+    pattern word of k = 0, costs no walk and is not counted.
     """
     d = out_degree_uniform(g)
     if d is None:
@@ -336,6 +337,6 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     if k > longest:
         raise refusal
     words = list(islice(pattern_words(k, d), most + 1))
-    if len(words) > most:
+    if k and len(words) > most:
         raise refusal
     return first_word_coloring(g, words) is not None

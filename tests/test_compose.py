@@ -13,6 +13,7 @@ from roadsync.compose import (
     big_m_branch,
     compose,
     compose_or_decide,
+    decide_early,
     names_json,
     parse_batch,
     pattern_functions,
@@ -111,6 +112,21 @@ def test_big_m_branch():
     assert big_m_branch(all_no) is False
     small = CompositionBatch(t, items[:2])
     assert big_m_branch(small) is None
+
+
+def test_decide_early_answers_or_returns_the_batch():
+    # Preprocessing decides a large budget, the big-m branch m >= 2^t items;
+    # anything else comes back as the batch compose_or_decide composes.
+    t, z = 3, pin_bound(3)
+    yes = make_dfa([(0,), (0,), (0,)])
+    no = make_dfa([(1,), (2,), (0,)])
+    assert decide_early([(yes, z)], t) == preprocess([(yes, z)], t)
+    for items, answer in (([(no, 1)] * 7 + [(yes, 1)], True), ([(no, 1)] * 8, False)):
+        pre = decide_early(items, t)
+        assert (pre.answer, pre.batch) == (answer, None)
+    small = decide_early([(no, 1), (yes, 1)], t)
+    assert small == preprocess([(no, 1), (yes, 1)], t)
+    assert small.answer is None and small.batch.m == 2
 
 
 def test_compose_size_identity_grid():

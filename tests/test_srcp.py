@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from roadsync.graphs import (
     is_strongly_connected,
     make_graph,
     out_degree_uniform,
+    parse_graph,
 )
 from roadsync.srcp import (
     kernelize,
@@ -364,23 +366,37 @@ def test_pattern_decision_caps(monkeypatch):
     assert srcp_exists_by_patterns(_ring(t), 4) is False
     with pytest.raises(SizeLimitError):
         srcp_exists_by_patterns(_ring(t + 1), 4)
-    # k = 3 has 4, abb among them; k = 1 has one word, and so has k = 0: the
-    # empty word, which costs no walk but counts like any other.
-    quarter, most = srcp.SEARCH_NODE_BUDGET // 4, srcp.SEARCH_NODE_BUDGET
+    # k = 3 has 4, abb among them.
+    quarter, past = srcp.SEARCH_NODE_BUDGET // 4, srcp.SEARCH_NODE_BUDGET + 1
     assert srcp_exists_by_patterns(_ring(quarter), 3) is False
     with pytest.raises(SizeLimitError):
         srcp_exists_by_patterns(_ring(quarter + 1), 3)
-    assert srcp_exists_by_patterns(_ring(most), 0) is False
-    for k in (0, 1):
-        with pytest.raises(SizeLimitError):
-            srcp_exists_by_patterns(_ring(most + 1), k)
+    # k = 0 has only the empty word, which costs no walk, so no t is refused
+    # (k = 1 is, past SEARCH_NODE_BUDGET targets); the search answers it at once.
+    assert srcp_exists_by_patterns(_ring(past), 0) is False
+    with pytest.raises(SizeLimitError):
+        srcp_exists_by_patterns(_ring(past), 1)
+    assert srcpw.first_word_coloring(_ring(past), [()]) is None
     # A long k is refused before one of its words is built, at out-degree 1
     # too, where its one word would be walked k - 1 layers deep.
     path = make_graph([(min(v + 1, 999),) for v in range(1000)])
     for g in (_ring(1000), path):
         with pytest.raises(SizeLimitError):
             srcp_exists_by_patterns(g, 10 ** 8)
-    assert searched == [(t, 8), (quarter, 4), (most, 1)]
+    assert searched == [(t, 8), (quarter, 4), (past, 1)]
+
+
+@pytest.mark.xfail(raises=SizeLimitError, strict=True,
+                   reason="the target-by-target search spends its budget at target 2")
+def test_pattern_decision_answers_random_k7_t39():
+    # A YES that the word-by-word search answered within its budget (1.2 s):
+    # aabaabb resets g, at target 24.  Target by target, each k = 7 pattern
+    # word tried at target 2 backtracks about 1,900 choices there and fails,
+    # and the budget runs out after 42 of the 64 words; the oracle's caps
+    # refuse t = 39 at k = 7 too.
+    g = parse_graph((Path(__file__).parent / "data" / "random_k7_t39.txt").read_text())
+    assert srcpw.fixed_word_coloring(g, (0, 0, 1, 0, 0, 1, 1)) is not None
+    assert srcp_exists_by_patterns(g, 7) is True
 
 
 def test_srcp_decide_falls_back_to_the_oracle(monkeypatch):
