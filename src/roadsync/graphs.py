@@ -32,9 +32,6 @@ class Multigraph:
                 if not 0 <= v < self.t:
                     raise InvalidInputError(f"edge target {v} out of range")
 
-    def edge_count(self) -> int:
-        return sum(len(ts) for ts in self.out_edges)
-
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         """Sources of the edges into each vertex, one entry per edge slot."""

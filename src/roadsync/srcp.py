@@ -318,7 +318,7 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     first_word_coloring decides that over all of them in one search.
 
     Raises SizeLimitError before any search when the pattern words times the
-    t targets, the (word, target) pairs a NO instance tries, pass
+    t targets, the (word, target) pairs a NO instance may try, pass
     SEARCH_NODE_BUDGET, and during the search once it has tried more than
     SEARCH_NODE_BUDGET choices over all words.  The empty word, the one
     pattern word of k = 0, costs no walk and is not counted.

@@ -2,19 +2,19 @@
 
 G_w is the set of multigraphs of uniform out-degree d admitting a coloring
 delta with |delta(Q, w)| = 1, for a word w over letters below d.
-`fixed_word_coloring` decides membership for every d, per target q, by a duty
-fixpoint plus propagation-guided selection with a backtracking fallback over
-each vertex's choices of targets for the letters of w (derived here, exact,
-and validated against brute-force oracles in the test suite).  The
-fixpoint's hit sets start from the backward walk layers of q
-(`graphs.walk_layers`, cut at depth |w| - 1), and the fixpoint is the only
-target filter: it rejects every q that some vertex has no walk of exactly
-|w| edges to, so no distance search runs.  `first_word_coloring` runs the
-same search over a sequence of words, target by target, each target's walk
-layers serving every word, with one work budget of SEARCH_NODE_BUDGET search
-nodes (choices tried) over all words and targets; past it the call raises
-SizeLimitError instead of running for minutes.  SRCP at every k is a union
-of classes G_w, decided by `srcp.srcp_exists_by_patterns` through it.
+`fixed_word_coloring` decides membership for every d, per target q, by
+propagation-guided selection with a backtracking fallback over each vertex's
+choices of targets for the letters of w (derived here, exact, and validated
+against brute-force oracles in the test suite).  The state reached after i
+letters must reach q by the |w| - i letters left, which the backward walk
+layers of q (`graphs.walk_layers`, cut at depth |w| - 1) tell; so q is tried
+only if every vertex has a walk of exactly |w| edges to it, and no distance
+search runs.  `first_word_coloring` runs the same search over words of one
+length, target by target, each target's walk layers and walk test serving
+every word, with one work budget of SEARCH_NODE_BUDGET search nodes (choices
+tried) over all words and targets; past it the call raises SizeLimitError
+instead of running for minutes.  SRCP at every k is a union of classes G_w,
+decided by `srcp.srcp_exists_by_patterns` through it.
 
 `decide_aaa`, `decide_aab` and `decide_aba` run at any out-degree through
 it; the rest is out-degree 2 only.  The abb class additionally has the
@@ -59,16 +59,16 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
     one injection of those letters into its d slots, each distinct tuple kept
     once and named by the least slot-letter tuple that realizes it (see
     `_choice_table`).  Per target q, a state active after i letters owes a
-    duty: the target its choice gives letter w_i must lie in the level-(i+1)
-    hit set (level 0 binds every state, level |w| is {q}).  A greatest
-    fixpoint over per-state duty viability prunes the hit sets, which start
-    from the backward walk layers of q; then the residual choices are
-    resolved by demand propagation with backtracking, vertices in index order
-    and choices in slot-letter order.  So the witness is, among the colorings
-    under which w maps every vertex to the least possible q, the first in
-    `enumerate_colorings` order.  Raises SizeLimitError once the backtracking
-    has tried more than SEARCH_NODE_BUDGET choices over all targets; returned
-    colorings are always verified.  This is `first_word_coloring` on one word.
+    duty: the target its choice gives letter w_i must have a walk of the
+    |w| - i - 1 letters left to q, read off the backward walk layers of q
+    (level 0 binds every state, and the last letter must reach q itself).
+    The choices are resolved by demand propagation with backtracking,
+    vertices in index order and choices in slot-letter order.  So the witness
+    is, among the colorings under which w maps every vertex to the least
+    possible q, the first in `enumerate_colorings` order.  Raises
+    SizeLimitError once the backtracking has tried more than
+    SEARCH_NODE_BUDGET choices over all targets; returned colorings are
+    always verified.  This is `first_word_coloring` on one word.
     """
     return first_word_coloring(g, (w,))
 
@@ -76,15 +76,17 @@ def fixed_word_coloring(g: Multigraph, w: Sequence[int]) -> Optional[Coloring]:
 def first_word_coloring(g: Multigraph, words: Iterable[Sequence[int]]) -> Optional[Coloring]:
     """A coloring that resets g by one of words, or None if g lies in no G_w.
 
+    The words share one length L; mixed lengths raise InvalidInputError.
     Targets run on the outside and words on the inside, so the result is
     `fixed_word_coloring` of the first word reaching the least target any does.
-    Each target is walked once, to the depth of the longest word.  Every
-    word's letters are checked before the first search, one
-    SEARCH_NODE_BUDGET covers every word and target, and the choice lists
-    are built once per letter set.  A reset word pads to any longer length (a
-    singleton image stays a singleton), and renaming letters maps colorings
-    to colorings, so SRCP at k is the union of G_w over the words of
-    `srcp.pattern_words(k, d)`; `srcp.srcp_exists_by_patterns` decides it so.
+    Each target is walked once, L - 1 layers deep, and skipped unless every
+    vertex has a walk of exactly L edges to it.  Every word's letters and
+    length are checked before the first search, one SEARCH_NODE_BUDGET covers
+    every word and target, and the choice lists are built once per letter
+    set.  A reset word pads to any longer length (a singleton image stays a
+    singleton), and renaming letters maps colorings to colorings, so SRCP at
+    k is the union of G_w over the words of `srcp.pattern_words(k, d)`;
+    `srcp.srcp_exists_by_patterns` decides it so.
     """
     d = out_degree_uniform(g)
     if d is None:
@@ -92,20 +94,25 @@ def first_word_coloring(g: Multigraph, words: Iterable[Sequence[int]]) -> Option
     words = [tuple(w) for w in words]
     if any(not 0 <= x < d for w in words for x in w):
         raise InvalidInputError(f"word letters must lie below the out-degree {d}")
+    if len({len(w) for w in words}) > 1:
+        raise InvalidInputError("fixed-word search needs words of one length")
     # Every word, the empty one too, resets the one-vertex graph by the
     # identity coloring; the empty word resets no larger graph.
     if g.t == 1:
         return Coloring((tuple(range(d)),)) if words else None
-    words = [w for w in words if w]
-    if not words:
+    if not words or not words[0]:
         return None
+    L = len(words[0])
     letter_sets = [tuple(sorted(set(w))) for w in words]
     choices = {letters: [_choice_table(tuple(map(ts.index, ts)), letters, d)
                          for ts in g.out_edges] for letters in dict.fromkeys(letter_sets)}
     budget = [SEARCH_NODE_BUDGET]
-    longest = max(map(len, words))
     for q in range(g.t):
-        walks = walk_layers(g, q, longest - 1)
+        walks = walk_layers(g, q, L - 1)
+        # Any slot can carry the first letter, so every vertex needs an
+        # out-edge into W_{L-1}: a walk of exactly L edges to q.
+        if not all(any(u in walks[-1] for u in ts) for ts in g.out_edges):
+            continue
         for w, letters in zip(words, letter_sets):
             coloring = _fixed_word_at(g, w, q, walks, choices[letters], budget)
             if coloring is not None:
@@ -151,57 +158,26 @@ def _choice_table(shape: tuple[int, ...], letters: tuple[int, ...], d: int) -> t
 def _fixed_word_at(g: Multigraph, w: Word, q: int, walks: list[frozenset[int]],
                    choices: list[tuple], budget: list[int]) -> Optional[Coloring]:
     """The first coloring that resets by w to q; each choice tried spends 1 of
-    budget[0].  walks is `walk_layers(g, q, depth)` at any depth >= |w| - 1."""
+    budget[0].  walks is `walk_layers(g, q, |w| - 1)`."""
     t, L = g.t, len(w)
     tgt = g.out_edges
-    levels = range(1, L)
 
-    def duty_ok(v: int, slots: tuple[int, ...], i: int,
-                hit: list[frozenset[int]]) -> bool:
+    def duty_ok(v: int, slots: tuple[int, ...], i: int) -> bool:
         # slots[x] is the slot that carries letter x under one choice of v.
-        target = tgt[v][slots[w[i]]]
-        if i + 1 == L:
-            return target == q
-        return target in hit[i + 1]
-
-    # Seed hit[i] with W_{L-i}, the vertices that have a walk of exactly
-    # L - i edges to q (hit[0] is never read).  Each vertex of the greatest
-    # fixpoint's hit[i] has one, so this seed lies above that fixpoint, as the
-    # set of all vertices does, and the loop (which only removes vertices)
-    # reaches the same hit sets from both.
-    # hit[1] then lies in the (L-1)-step backward cone, so the duty-0 check
-    # before the first round rejects every q that a cone filter would skip.
-    hit = [frozenset()] + [walks[L - i] for i in levels]
-    while True:
-        # Any slot can carry letter w_0, so duty 0 holds iff an out-edge
-        # enters hit[1]; the hit sets only shrink, so checked before every
-        # round it fails as soon as it would fail at the fixpoint.
-        first = hit[1] if L > 1 else frozenset((q,))
-        if not all(any(u in first for u in ts) for ts in tgt):
-            return None
-        changed = False
-        for i in levels:
-            keep = frozenset(
-                v for v in hit[i]
-                if any(duty_ok(v, s, 0, hit) and duty_ok(v, s, i, hit)
-                       for s in choices[v][1])
-            )
-            if keep != hit[i]:
-                hit[i] = keep
-                changed = True
-        if not changed:
-            break
+        # A state active after i + 1 letters needs a walk of the L - i - 1
+        # letters left to q; walks[0] is {q}.
+        return tgt[v][slots[w[i]]] in walks[L - 1 - i]
 
     # Exact selection: sigma (a choice index) per state plus the duty levels
     # demanded of it by already-made choices.  Unassigned duty targets are
-    # judged optimistically through the hit sets, assigned ones exactly via
+    # judged optimistically through the walk layers, assigned ones exactly via
     # requeueing.
     sigma: list[Optional[int]] = [None] * t
     demand: list[set[int]] = [{0} for _ in range(t)]
 
     def options(v: int) -> list[int]:
         return [c for c, s in enumerate(choices[v][1])
-                if all(duty_ok(v, s, i, hit) for i in demand[v])]
+                if all(duty_ok(v, s, i) for i in demand[v])]
 
     def propagate(queue: list[int], trail: list) -> bool:
         while queue:
@@ -215,7 +191,7 @@ def _fixed_word_at(g: Multigraph, w: Word, q: int, walks: list[frozenset[int]],
                 sigma[v] = opts[0]
                 trail.append(("sigma", v, None))
             s = choices[v][1][sigma[v]]
-            if not all(duty_ok(v, s, i, hit) for i in demand[v]):
+            if not all(duty_ok(v, s, i) for i in demand[v]):
                 return False
             for i in list(demand[v]):
                 if i + 1 == L:
@@ -284,7 +260,7 @@ def decide_aaa(g: Multigraph) -> bool:
     """Membership in G_aaa.
 
     Equivalent direct form: some q with a self-loop edge whose backward layers
-    cover every vertex within 3 steps; the fixpoint machinery reduces to that.
+    cover every vertex within 3 steps; the fixed-word search reduces to that.
     """
     return fixed_word_coloring(g, (0, 0, 0)) is not None
 

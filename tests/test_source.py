@@ -58,3 +58,21 @@ def test_readme_command_lines_parse():
         except SystemExit:
             refused.append(" ".join(argv))
     assert refused == []
+
+
+def test_every_definition_is_referenced():
+    # Each function, method and class of the library is named somewhere
+    # besides its own definition: in the library, the tests, the scripts or
+    # the benchmark.  Dunder methods are called by Python itself.
+    root = SRC.parent.parent
+    texts = [path.read_text() for tree in ("src", "tests", "scripts", "perfbench")
+             for path in sorted((root / tree).rglob("*.py"))]
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        names |= {node.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("__")}
+    assert len(names) > 100
+    unused = [name for name in sorted(names)
+              if not any(re.search(rf"(?<!def )(?<!class )\b{name}\b", text) for text in texts)]
+    assert unused == []

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from roadsync import srcp, srcpw
+from roadsync import satreduce, srcp, srcpw
+from roadsync.automata import apply_word
 from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.graphs import (
     Multigraph,
@@ -397,6 +398,21 @@ def test_pattern_decision_answers_random_k7_t39():
     g = parse_graph((Path(__file__).parent / "data" / "random_k7_t39.txt").read_text())
     assert srcpw.fixed_word_coloring(g, (0, 0, 1, 0, 0, 1, 1)) is not None
     assert srcp_exists_by_patterns(g, 7) is True
+
+
+@pytest.mark.xfail(raises=SizeLimitError, strict=True,
+                   reason="the k = 4 search spends its budget on a satisfiable reduction")
+def test_pattern_decision_answers_satisfiable_reduction():
+    # `gen sat-reduce` of a satisfiable 3-CNF (6 variables, 3 clauses)
+    # builds a t = 51 graph that abaa resets under the coloring read off a
+    # satisfying assignment.  The pattern search spends its budget before it
+    # finds one, and the oracle's caps refuse t = 51 at k = 4.
+    f = satreduce.parse_dimacs((Path(__file__).parent / "data" / "sat_k4_t51.cnf").read_text())
+    rg = satreduce.build_reduction(satreduce.augment_tautologies(f))
+    assert rg.graph.t == 51
+    dfa = apply_coloring(rg.graph, satreduce.extract_coloring(rg, satreduce.sat_oracle(f)))
+    assert len(apply_word(dfa, dfa.full_set(), satreduce.RESET_WORD)) == 1
+    assert srcp_decide(rg.graph, 4) is True
 
 
 def test_srcp_decide_falls_back_to_the_oracle(monkeypatch):

@@ -97,7 +97,7 @@ def test_fixed_word_matches_oracle_exhaustive_small():
 
 def test_fixed_word_matches_oracle_random():
     # The length-3 classes, plus the words of length 1, 2 and 4 starting
-    # with a: the fixpoint seeding argument holds for every word length.
+    # with a: the walk layers bound the active states at every word length.
     words = [w for n in (1, 2, 3, 4) for w in product((0, 1), repeat=n)
              if w[0] == 0]
     rng = random.Random(41)
@@ -313,8 +313,10 @@ def _spy_everywhere(monkeypatch, fn, calls):
 
 def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
     # One search over the words aaa, aab, aba and abb, target by target:
-    # each (word, target) pair once, each target walked once to depth 2, the
-    # choice lists built once per letter set, and no abb witness asked.
+    # each target walked once to depth 2, the choice lists built once per
+    # letter set, and no abb witness asked.  A target is searched, with every
+    # word in order, only if every vertex has a walk of exactly 3 edges to it
+    # (found here by walking forward); on the ring no target passes.
     searched, pairs, tables, walks, witnesses = [], [], [], [], []
     search, fixed_word_at = srcp.first_word_coloring, srcpw._fixed_word_at
 
@@ -326,21 +328,31 @@ def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
         pairs.append((w, q))
         return fixed_word_at(g, w, q, *args)
 
+    def reached_by_every_vertex(g):
+        ends = [{v} for v in range(g.t)]
+        for _ in range(3):
+            ends = [{u for x in e for u in g.out_edges[x]} for e in ends]
+        return [q for q in range(g.t) if all(q in e for e in ends)]
+
     monkeypatch.setattr(srcp, "first_word_coloring", search_spy)
     monkeypatch.setattr(srcpw, "_fixed_word_at", fixed_word_at_spy)
     _spy_everywhere(monkeypatch, srcpw._choice_table, tables)
     _spy_everywhere(monkeypatch, walk_layers, walks)
     _spy_everywhere(monkeypatch, abb_witness_target, witnesses)
-    t = 12
-    g = make_graph([((v + 1) % t, (v + 2) % t) for v in range(t)])
-    assert srcp_decide(g, 3) is False
-    assert srcp_oracle(g, 3) is None
+    ring = make_graph([((v + 1) % 12, (v + 2) % 12) for v in range(12)])
+    some = make_graph([(3, 1), (2, 5), (1, 3), (6, 4), (2, 1), (5, 4), (6, 3)])
     words = list(WORDS.values())
-    assert searched == [words]
-    assert pairs == [(w, q) for q in range(t) for w in words]
-    assert [(q, depth) for _, q, depth in walks] == [(q, 2) for q in range(t)]
-    assert len(tables) == 2 * t
-    assert witnesses == []
+    for g, passing in ((ring, []), (some, [1, 2, 4])):
+        for spied in (searched, pairs, tables, walks, witnesses):
+            spied.clear()
+        assert reached_by_every_vertex(g) == passing
+        assert srcp_decide(g, 3) is False
+        assert srcp_oracle(g, 3) is None
+        assert searched == [words]
+        assert pairs == [(w, q) for q in passing for w in words]
+        assert [(q, depth) for _, q, depth in walks] == [(q, 2) for q in range(g.t)]
+        assert len(tables) == 2 * g.t
+        assert witnesses == []
 
 
 def test_first_word_coloring_takes_the_least_target():
@@ -377,6 +389,12 @@ def test_first_word_coloring_checks_every_word_first(monkeypatch):
     g = make_graph([(1, 2), (2, 0), (0, 1)])
     with pytest.raises(InvalidInputError):
         srcpw.first_word_coloring(g, [WORDS["aaa"], WORDS["aab"], (0, 2, 1)])
+    assert calls == []
+    # So are words of different lengths.
+    with pytest.raises(InvalidInputError):
+        srcpw.first_word_coloring(g, [WORDS["aaa"], WORDS["aab"], (0, 1)])
+    with pytest.raises(InvalidInputError):
+        srcpw.first_word_coloring(g, [(), (0,)])
     assert calls == []
     # The empty word resets only the one-vertex graph, and costs no walk.
     walks = []
