@@ -5,8 +5,9 @@ fixed-word search over the pattern words and never enumerates colorings.
 Only when that refuses does it ask srcp_oracle, the ground truth everything
 else is validated against: it walks every coloring in enumeration order and
 asks for a reset word of length <= k.
-A numpy sweep accelerates the out-degree-2 case without changing the sequential
-first-witness semantics.  It rests on two facts:
+A bit-sliced sweep, one bit per coloring in each big int, accelerates the
+out-degree-2 case without changing the sequential first-witness semantics.
+It rests on two facts:
 
 - Color-swap symmetry.  With out-degree 2, flipping every digit of a coloring
   index swaps the letters a and b, so colorings i and 2^t - 1 - i have the same
@@ -19,12 +20,11 @@ first-witness semantics.  It rests on two facts:
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .automata import Word
 from .errors import InvalidInputError, SizeLimitError
@@ -42,104 +42,92 @@ from .graphs import (
 from .srcpw import SEARCH_NODE_BUDGET, first_word_coloring
 from .syncsolve import pin_bound, shortest_reset_word
 
-# The numpy sweep's work, 2^(t-1) colorings times 2^k words, is refused past
-# this.  At 0.75-1.23 M colorings/s at k = 4 that is at most about 55-90 s
-# (t = 27); it admits t <= 26 at k = 5 and t <= 23 at k = 8.
+# The sweep's work, 2^(t-1) colorings times 2^k words, is refused past this.
+# At 14-17 M colorings/s at k = 4 that is at most about 4-5 s (t = 27); it
+# admits t <= 26 at k = 5 and t <= 23 at k = 8.
 SWEEP_WORK_CAP = 1 << 30
 # Colorings that srcp_oracle tries one at a time, one reset-word search each
 # (30 to 90 us per coloring at t = 6..12), are refused beyond this many: about
-# half a minute of work.  SWEEP_WORK_CAP sizes the numpy sweep instead.
+# half a minute of work.  SWEEP_WORK_CAP sizes the sweep instead.
 ORACLE_ENUMERATION_CAP = 1 << 19
 _SWEEP_CHUNK = 1 << 13
-# The vectorized sweep walks the 2^k words of length k depth-first, one image
-# array per depth (O(k * chunk) memory) and 2^(k+1) - 2 steps per chunk; the
-# per-coloring search takes over beyond this depth.
+# The sweep walks the 2^k words of length k depth-first, 2^(k+1) - 2 steps
+# per chunk, so its work doubles with each letter; the per-coloring search
+# takes over beyond this depth.
 _SWEEP_WORD_DEPTH_CAP = 8
 
 
-def _step_tables(e0: np.ndarray, e1: np.ndarray, t: int) -> np.ndarray:
-    """Flat int64 lookup tables for one letter-a step, 256 rows per vertex group.
+def _sync_mask_chunk(e0: list[int], e1: list[int], t: int, k: int,
+                     idx: range) -> int:
+    """Bit j is set when coloring idx[j] admits a reset word of length <= k.
 
-    Inside the kernel vertex v is bit t-1-v of an image, the same bit that
-    holds its digit in a coloring index, so group g covers bits 4g..4g+3 of
-    both.  Row g*256 + (D << 4 | A) is the image of the active vertices A
-    under letter a when their digits are D.  Letter a takes slot 0 where the
-    digit is 0, so letter b is the same lookup with D complemented.
+    Bit-sliced: idx is range(start, start + n) with n = 2^c and start a
+    multiple of n, and each int below carries one bit per coloring.  The
+    digit of vertex v, bit b = t-1-v of the index (1 means slot 1 carries
+    letter a), is such a mask: for b < c it repeats with period 2^(b+1), from
+    c up it is constant over the chunk.  A step sends the active bits of v
+    to e0[v] and e1[v] under the digit mask and its complement.  The words of
+    length exactly k are walked depth-first with one image per depth, and
+    only the leaves are tested: a shorter reset word pads to length k,
+    because a singleton image stays a singleton.
     """
-    groups = -(-t // 4)
-    # by_bit(e)[g, j] is e of the vertex at bit 4g+j; valid masks out the
-    # padding bits past t.
-    valid = (np.arange(groups * 4) < t).reshape(groups, 4, 1)
-
-    def by_bit(e: np.ndarray) -> np.ndarray:
-        padded = np.zeros(groups * 4, dtype=np.int64)
-        padded[:t] = e[::-1]
-        return padded.reshape(groups, 4, 1)
-
-    rows = np.arange(256, dtype=np.int64)
-    j = np.arange(4, dtype=np.int64)[:, None]
-    targets = np.where((rows >> (4 + j)) & 1, by_bit(e1), by_bit(e0))
-    images = np.left_shift(1, t - 1 - targets) * (((rows >> j) & 1) * valid)
-    return np.bitwise_or.reduce(images, axis=1).ravel()
-
-
-def _sync_mask_chunk(e0: np.ndarray, e1: np.ndarray, t: int, k: int,
-                     idx: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Boolean array: which coloring indices admit a reset word of length <= k.
-
-    Colorings are packed into idx (int64) with vertex 0 as the most
-    significant bit; bit 0 means slot 0 carries letter a.  The words of
-    length exactly k are walked depth-first with one image array per depth,
-    and only the leaves are tested: a reset word shorter than k pads to
-    length k, because a singleton image stays a singleton.  The step reads
-    only tables, which the caller builds once per sweep as
-    _step_tables(e0, e1, t).
-    """
+    n = len(idx)
+    full = (1 << n) - 1
     if t == 1:
-        return np.ones(idx.shape, dtype=bool)
-    shifts = np.arange(0, t, 4, dtype=np.int64)[:, None]  # 4g for group g
-    # Table rows g*256 + (D << 4) under letter a; letter b complements D.
-    rows_a = (shifts << 6) | (((idx >> shifts) & 15) << 4)
-    rows_b = rows_a ^ 0xF0
-    ok = np.zeros(idx.shape, dtype=bool)
-    # Preallocated buffers: one image and one active-nibble array per depth.
-    images = [np.full(idx.shape, (1 << t) - 1, dtype=np.int64)]
-    images += [np.empty_like(images[0]) for _ in range(k)]
-    actives = [(images[0] >> shifts) & 15]
-    actives += [np.empty_like(rows_a) for _ in range(k - 1)]
-    rows, gathered = np.empty_like(rows_a), np.empty_like(rows_a)
+        return full
+    c = n.bit_length() - 1
+    # moves[letter][v]: v's target under digit 0, under digit 1, and the mask
+    # of the colorings whose digit is 0.
+    moves: list[list[tuple[int, int, int]]] = [[], []]
+    for v in range(t):
+        b = t - 1 - v
+        if b < c:
+            digit, period = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+            while period < n:
+                digit |= digit << period
+                period <<= 1
+        else:
+            digit = full if idx[0] >> b & 1 else 0
+        moves[0].append((e0[v], e1[v], full ^ digit))
+        moves[1].append((e1[v], e0[v], full ^ digit))
+    ok = 0
+    images = [[full] * t] + [[]] * k
     for word in range(1 << k):
         # Letters above the lowest set bit of word match the previous word, so
         # the images down to that depth are reused.
         first = k - (word & -word).bit_length() if word else 0
         for depth in range(first, k):
-            letter_rows = rows_b if word >> (k - 1 - depth) & 1 else rows_a
-            np.bitwise_or(letter_rows, actives[depth], out=rows)
-            np.take(tables, rows, out=gathered, mode="clip")
-            image = images[depth + 1]
-            np.bitwise_or.reduce(gathered, axis=0, out=image)
-            if depth + 1 < k:
-                np.right_shift(image, shifts, out=actives[depth + 1])
-                actives[depth + 1] &= 15
-        leaf = images[k]
-        ok |= (leaf & (leaf - 1)) == 0
+            image = [0] * t
+            for active, (u, w, mask) in zip(images[depth],
+                                            moves[word >> (k - 1 - depth) & 1]):
+                if active:
+                    stay = active & mask
+                    image[u] |= stay
+                    image[w] |= active ^ stay
+            images[depth + 1] = image
+        once = twice = 0
+        for active in images[k]:
+            twice |= once & active
+            once |= active
+        ok |= full ^ twice
     return ok
 
 
-def sweep_sync_indices(g: Multigraph, k: int,
-                       chunk: int = _SWEEP_CHUNK) -> Iterator[int]:
+def sweep_sync_indices(g: Multigraph, k: int) -> Iterator[int]:
     """Ascending enumeration indices of colorings synchronizable within k letters.
 
     Out-degree 2 only; the order matches enumerate_colorings exactly.
 
     Color-swap symmetry: flipping every digit of index i swaps the letters a
     and b, so index i and index 2^t - 1 - i have the same reset lengths.  The
-    kernel therefore runs only on the lower half, below 2^(t-1), yielding its
-    hits as they are found, and keeps the masks of chunks with a hit packed,
-    at most 2^(t-1) bits; the upper half is then yielded by walking those
-    masks backwards.
+    kernel therefore runs only on the lower half, below 2^(t-1), in aligned
+    chunks, yielding its hits as they are found, and keeps the masks of
+    chunks with a hit; the upper half is then yielded by walking those masks
+    from the top bit down.
     A caller that stops at the first hit never reaches the upper half.
     """
+    if k < 0:
+        raise InvalidInputError("k must be >= 0")
     d = out_degree_uniform(g)
     if d != 2:
         raise InvalidInputError("sweep_sync_indices needs out-degree 2")
@@ -150,22 +138,23 @@ def sweep_sync_indices(g: Multigraph, k: int,
     t = g.t
     total = 1 << t
     half = total >> 1
-    e0 = np.array([g.out_edges[v][0] for v in range(t)], dtype=np.uint64)
-    e1 = np.array([g.out_edges[v][1] for v in range(t)], dtype=np.uint64)
-    tables = _step_tables(e0, e1, t)
-    # Packed kernel masks of the lower-half chunks that hold a hit.
-    lower: list[tuple[int, np.ndarray]] = []
+    chunk = min(_SWEEP_CHUNK, half)
+    e0 = [edges[0] for edges in g.out_edges]
+    e1 = [edges[1] for edges in g.out_edges]
+    # Kernel masks of the lower-half chunks that hold a hit.
+    lower: list[tuple[int, int]] = []
     for start in range(0, half, chunk):
-        idx = np.arange(start, min(start + chunk, half), dtype=np.int64)
-        ok = _sync_mask_chunk(e0, e1, t, k, idx, tables)
-        found = np.flatnonzero(ok)
-        if len(found):
-            lower.append((start, np.packbits(ok)))
-            for i in found.tolist():
-                yield start + i
-    for start, packed in reversed(lower):
-        for i in np.flatnonzero(np.unpackbits(packed))[::-1].tolist():
-            yield total - 1 - start - i
+        ok = _sync_mask_chunk(e0, e1, t, k, range(start, start + chunk))
+        if ok:
+            lower.append((start, ok))
+            # Character j of the reversed binary digits is bit j.
+            for hit in re.finditer("1", f"{ok:b}"[::-1]):
+                yield start + hit.start()
+    for start, ok in reversed(lower):
+        # Character j of the binary digits is bit len(bits) - 1 - j.
+        bits = f"{ok:b}"
+        for hit in re.finditer("1", bits):
+            yield total - start - len(bits) + hit.start()
 
 
 def srcp_oracle(g: Multigraph, k: int,
@@ -173,9 +162,10 @@ def srcp_oracle(g: Multigraph, k: int,
     """First coloring (in enumeration order) with a reset word of length <= k.
 
     Returns that coloring and its shortest reset word, or None.  Exhaustive:
-    this is the oracle the polynomial paths are validated against.  The numpy
-    sweep (out-degree 2, k <= 8) is refused past SWEEP_WORK_CAP colorings times
-    words, the one-by-one enumeration past ORACLE_ENUMERATION_CAP colorings.
+    this is the oracle the polynomial paths are validated against.  The
+    bit-sliced sweep (out-degree 2, k <= 8) still tests every coloring; it is
+    refused past SWEEP_WORK_CAP colorings times words, the one-by-one
+    enumeration past ORACLE_ENUMERATION_CAP colorings.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
@@ -323,6 +313,8 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     SEARCH_NODE_BUDGET choices over all words.  The empty word, the one
     pattern word of k = 0, costs no walk and is not counted.
     """
+    if k < 0:
+        raise InvalidInputError("k must be >= 0")
     d = out_degree_uniform(g)
     if d is None:
         raise InvalidInputError("needs uniform out-degree")

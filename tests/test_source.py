@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 
 from roadsync import cli
@@ -19,6 +20,23 @@ def test_no_bare_asserts_in_library():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_src_imports_only_the_standard_library():
+    # The library installs with no runtime dependency; numpy and friends are
+    # for the tests and the benchmark only.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
 
 

@@ -26,7 +26,7 @@ from roadsync.srcp import (
     srcp_oracle,
     sweep_sync_indices,
 )
-from roadsync.syncsolve import pin_bound, shortest_reset_word
+from roadsync.syncsolve import pin_bound, shortest_reset_word, syn_decide
 
 from support import passwise_kernel_graph, random_multigraph
 
@@ -95,35 +95,67 @@ def _enumeration_lengths(g):
     return lengths
 
 
-def test_sweep_matches_enumeration_across_chunks():
-    # chunk sizes 1 and 3 split the lower half unevenly and exercise the
-    # mirrored upper half chunk by chunk.
+def test_sweep_matches_enumeration_across_chunks(monkeypatch):
+    # Chunks of 1 and 2 colorings mirror the upper half chunk by chunk; 64
+    # holds the whole lower half up to t = 7 and splits it beyond.
     rng = random.Random(29)
     for t in range(1, 11):
         g = random_multigraph(rng, t, 2)
         lengths = _enumeration_lengths(g)
         for k in range(7):
             slow = [i for i, n in enumerate(lengths) if n is not None and n <= k]
-            for chunk in (1, 3, 64):
-                assert list(sweep_sync_indices(g, k, chunk=chunk)) == slow, (t, k, chunk)
+            for chunk in (1, 2, 64):
+                monkeypatch.setattr(srcp, "_SWEEP_CHUNK", chunk)
+                assert list(sweep_sync_indices(g, k)) == slow, (t, k, chunk)
 
 
 def test_sweep_kernel_only_sees_lower_half(monkeypatch):
     seen = []
     kernel = srcp._sync_mask_chunk
 
-    def spy(e0, e1, t, k, idx, tables):
-        seen.append((t, int(idx.max())))
-        return kernel(e0, e1, t, k, idx, tables)
+    def spy(e0, e1, t, k, idx):
+        seen.append((t, max(idx)))
+        return kernel(e0, e1, t, k, idx)
 
     monkeypatch.setattr(srcp, "_sync_mask_chunk", spy)
+    monkeypatch.setattr(srcp, "_SWEEP_CHUNK", 8)
     rng = random.Random(41)
     upper = 0
     for t in range(2, 11):
         g = random_multigraph(rng, t, 2)
-        upper += sum(i >= 1 << (t - 1) for i in sweep_sync_indices(g, 4, chunk=7))
+        upper += sum(i >= 1 << (t - 1) for i in sweep_sync_indices(g, 4))
     assert seen and upper > 0
     assert all(top < 1 << (t - 1) for t, top in seen)
+
+
+def test_sweep_at_the_production_chunk_size():
+    # t = 16 gives four default chunks in the lower half, so the digits of
+    # bits 9..15 and the chunk edges at multiples of 2^13 are all crossed.
+    # One edge of each vertex, in a random slot, enters {0, 1, 2}, so short
+    # reset words are common: 5,376 colorings sync at k = 3, 25,728 at k = 4.
+    assert srcp._SWEEP_CHUNK == 1 << 13
+    rng = random.Random(62)
+    t = 16
+    rows = []
+    for _ in range(t):
+        row = [rng.randrange(3), rng.randrange(t)]
+        rng.shuffle(row)
+        rows.append(tuple(row))
+    g = Multigraph(t, tuple(rows))
+    edges = [8191, 8192, 16383, 16384, 24575, 24576, 32767]
+    picks = edges + [(1 << t) - 1 - i for i in edges]
+    picks += rng.sample(range(1 << t), 300)
+    for k in (3, 4):
+        hits = list(sweep_sync_indices(g, k))
+        assert all(a < b for a, b in zip(hits, hits[1:]))
+        found = set(hits)
+        answers = set()
+        for i in picks:
+            word = shortest_reset_word(apply_coloring(g, coloring_from_index(g, i)),
+                                       limit=k)
+            assert (i in found) == (word is not None), (k, i)
+            answers.add(word is not None)
+        assert answers == {True, False}
 
 
 def test_fast_oracle_matches_plain_enumeration():
@@ -445,3 +477,17 @@ def test_srcp_decide_falls_back_to_the_oracle(monkeypatch):
     assert srcp_decide(g, 40) == (oracle(g, 40, fast=False) is not None)
     assert calls == [40]
 
+
+@pytest.mark.parametrize("decide", [
+    srcp_decide,
+    srcp_oracle,
+    kernelize,
+    srcp_exists_by_patterns,
+    lambda g, k: list(sweep_sync_indices(g, k)),
+    lambda g, k: syn_decide(apply_coloring(g, coloring_from_index(g, 0)), k),
+], ids=["srcp_decide", "srcp_oracle", "kernelize", "srcp_exists_by_patterns",
+        "sweep_sync_indices", "syn_decide"])
+def test_negative_k_is_refused(decide):
+    g = Multigraph(2, ((0, 1), (1, 0)))
+    with pytest.raises(InvalidInputError, match="k must be >= 0"):
+        decide(g, -1)
