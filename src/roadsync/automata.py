@@ -163,7 +163,8 @@ def parse_dfa(text: str) -> Dfa:
 
 
 def write_dfa(a: Dfa) -> str:
+    names = [str(q) for q in range(a.t)]
     lines = [f"dfa {a.t} {a.alphabet_size}"]
     for row in a.delta:
-        lines.append(" ".join(str(q) for q in row))
+        lines.append(" ".join([names[q] for q in row]))
     return "\n".join(lines) + "\n"

@@ -17,7 +17,8 @@ row escapes to the absorbing state via the omega letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .automata import Dfa, _content_lines, _header, _table, apply_word
@@ -30,6 +31,8 @@ from .syncsolve import (_byte_tables, _disjoint, _field_bits, _image_masks,
 C2_WORD_CAP = 10 ** 8
 VERIFY_STATE_CAP = 3
 VERIFY_ITEM_CAP = 2
+# compose builds at most this many transitions, states x letters.
+COMPOSE_ENTRY_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -188,8 +191,11 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
     """Build the composed automaton A' with d' = z(t)+1.
 
     Letters: the shared identity kappa, the non-kappa letters of every item,
-    one selector alpha_i per item, and one omega_s per base state.  Each
-    state's row is written at once, one value per letter kind.
+    one selector alpha_i per item, and one omega_s per base state.  The guard
+    table is built one column per letter kind and transposed into rows.
+
+    Raises SizeLimitError, before any row is built, when states x letters
+    passes COMPOSE_ENTRY_CAP.
     """
     t, m = batch.t, batch.m
     if m >= 2 ** t:
@@ -204,6 +210,12 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
         offsets.append(cursor)
         cursor += size - 1
     n_letters = cursor + m + t
+    width = 2 * (q + 1)  # guard cells per table row
+    n_states = t + 1 + (z + 1) * width
+    if n_states * n_letters > COMPOSE_ENTRY_CAP:
+        raise SizeLimitError(
+            f"composed automaton of {n_states} states x {n_letters} letters "
+            f"above cap {COMPOSE_ENTRY_CAP} entries")
 
     subsets = [pattern_subset(i, m) for i in range(1, m + 1)]
     pis = [pattern_functions(i, m) for i in range(1, m + 1)]
@@ -220,34 +232,40 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
         row += [dead if s == s_bar else s for s_bar in range(t)]
         delta.append(tuple(row))
     delta.append((dead,) * n_letters)
+
+    # Guard cells (h, col, flag), numbered row by row: rows[h] holds the
+    # cells of table row h, in the order of `cells`.  kappa moves rows
+    # 1..z-1 one row down and sends rows 0 and z to row 0.  An x letter of
+    # item i moves rows 1..d_i down while the cell agrees with the activity
+    # pattern of i (T inside it, F outside) and drops to (0, col, T)
+    # otherwise; on the other rows it sends the cell to row 0.  alpha_i
+    # stamps the pattern of i onto row 1, and omega sends the bottom row to
+    # D and the rest to row 0.  So over one table row, a letter's targets
+    # are a whole row, a block no row changes, or one fixed pick (per item)
+    # from the next row and the drop targets: the table is built one column
+    # per letter kind, block by block, and transposed.
+    cells = [(col, flag) for col in range(q + 1) for flag in range(2)]
+    rows = [tuple(range(t + 1 + h * width, t + 1 + (h + 1) * width))
+            for h in range(z + 1)]
+    row0 = rows[0]
+    drops = tuple(row0[2 * col] for col, _ in cells)
+    columns = [list(chain.from_iterable(
+        rows[h + 1] if 1 <= h < z else row0 for h in range(z + 1)))]
+    for item, inside, size in zip(batch.items, subsets, sizes):
+        pick = itemgetter(*[c if (col in inside) == (flag == 0) else width + c
+                            for c, (col, flag) in enumerate(cells)])
+        x = list(chain.from_iterable(
+            pick(rows[h + 1] + drops) if 1 <= h <= item.d else row0
+            for h in range(z + 1)))
+        columns += [x] * (size - 1)
+    for pi in pis:
+        columns.append([rows[1][2 * pi[flag][col] + flag] for col, flag in cells] * (z + 1))
+    columns += [list(chain.from_iterable([row0] * z + [(dead,) * width]))] * t
+    delta += zip(*columns)
+
     state_names = [f"s{s + 1}" for s in range(t)] + ["D"]
-
-    def guard(h: int, col: int, flag: int) -> int:
-        return t + 1 + ((h * (q + 1) + col) * 2 + flag)
-
-    # Guard cells, numbered in this loop order.  kappa moves rows 1..z-1 one
-    # row down and sends rows 0 and z to row 0.  An x letter of item i moves
-    # rows 1..d_i down while the cell agrees with the activity pattern of i
-    # (T inside it, F outside) and drops to (0, col, T) otherwise; on the
-    # other rows it sends the cell to row 0.  alpha_i stamps the pattern of i
-    # onto row 1, and omega sends the bottom row to D and the rest to row 0.
-    for h in range(z + 1):
-        for col in range(q + 1):
-            for flag in range(2):
-                to_row0 = guard(0, col, flag)
-                row = [guard(h + 1, col, flag) if 1 <= h < z else to_row0]
-                for item, inside, size in zip(batch.items, subsets, sizes):
-                    if not 1 <= h <= item.d:
-                        x = to_row0
-                    elif (col in inside) == (flag == 0):
-                        x = guard(h + 1, col, flag)
-                    else:
-                        x = guard(0, col, 0)
-                    row += [x] * (size - 1)
-                row += [guard(1, pi[flag][col], flag) for pi in pis]
-                row += [dead if h == z else to_row0] * t
-                delta.append(tuple(row))
-                state_names.append(f"({h},{col},{'TF'[flag]})")
+    state_names += [f"({h},{col},{'TF'[flag]})" for h in range(z + 1)
+                    for col, flag in cells]
 
     letter_names = ["kappa"]
     for i in range(1, m + 1):

@@ -19,7 +19,12 @@ from collections import deque
 from typing import Optional
 
 from .automata import Dfa, Word
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SizeLimitError
+
+# One set of byte tables of the reset-word search holds at most this many
+# bytes; the search builds two (forward, then backward), about 270 MiB RSS
+# at the cap (t = 4,095 states over two letters).
+RESET_TABLE_BYTE_CAP = 2 ** 27
 
 
 def pin_bound(t: int) -> int:
@@ -161,6 +166,10 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
     with letters expanded in increasing order; it is completed with the
     least letter whose image lies inside a set of the backward level one
     shorter, step by step.  Repeated calls are identical.
+
+    Raises SizeLimitError, before any table or mask is built, when one set
+    of byte tables would pass RESET_TABLE_BYTE_CAP bytes: ceil(t/8) tables
+    of 256 ints, each of one _field_bits(t)-bit field per letter.
     """
     if limit is not None and limit < 0:
         raise InvalidInputError("limit must be >= 0")
@@ -169,6 +178,10 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
         return ()
     if limit == 0:
         return None
+    table_bytes = (t + 7) // 8 * 256 * a.alphabet_size * _field_bits(t) // 8
+    if table_bytes > RESET_TABLE_BYTE_CAP:
+        raise SizeLimitError(f"reset-word search tables of {table_bytes} bytes "
+                             f"above cap {RESET_TABLE_BYTE_CAP}")
     forward_tables = _byte_tables(_image_masks(a))
     low, *high = forward_tables
     high_blocks = list(zip(range(8, t, 8), high))

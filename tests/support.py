@@ -23,6 +23,15 @@ def random_dfa(rng: random.Random, t: int, k: int) -> Dfa:
                            for _ in range(t)))
 
 
+def reference_write_dfa(a: Dfa) -> str:
+    """The "dfa" text of a, one str() call per entry: the reference for
+    `write_dfa`, which renders each state's name once."""
+    lines = [f"dfa {a.t} {a.alphabet_size}"]
+    for row in a.delta:
+        lines.append(" ".join(str(q) for q in row))
+    return "\n".join(lines) + "\n"
+
+
 def random_multigraph(rng: random.Random, t: int, d: int) -> Multigraph:
     return Multigraph(t, tuple(tuple(rng.randrange(t) for _ in range(d))
                                for _ in range(t)))

@@ -15,10 +15,11 @@ from roadsync.automata import (
     word_to_str,
     write_dfa,
 )
+from roadsync.compose import BatchItem, CompositionBatch, add_identity_letter, compose
 from roadsync.errors import InvalidInputError
-from roadsync.syncsolve import shortest_reset_word
+from roadsync.syncsolve import pin_bound, shortest_reset_word
 
-from support import random_dfa
+from support import random_dfa, reference_write_dfa
 
 
 def test_dfa_validation():
@@ -127,6 +128,27 @@ def test_dfa_text_roundtrip_property(seed):
     rng = random.Random(seed)
     a = random_dfa(rng, rng.randint(1, 12), rng.randint(1, 4))
     assert parse_dfa(write_dfa(a)) == a
+
+
+def test_write_dfa_matches_reference_byte_for_byte():
+    # Composed automata of the benchmark's gen shapes (t = 4, m = 12 and
+    # t = 5, m = 28: 93 and 216 states), Cerny automata up to 300 states and
+    # random DFAs of up to 1,200 states (names of one to four digits).
+    rng = random.Random(21)
+    automata = []
+    for t, m in ((4, 12), (5, 28)):
+        items = tuple(BatchItem(add_identity_letter(random_dfa(rng, t, 2)),
+                                rng.randrange(pin_bound(t)))
+                      for _ in range(m))
+        automata.append(compose(CompositionBatch(t, items)).dfa)
+    automata += [cerny_automaton(n) for n in (2, 3, 10, 11, 100, 300)]
+    automata += [random_dfa(rng, rng.choice((1, 2, 9, 10, 99, 101, 1200)),
+                            rng.randint(1, 5)) for _ in range(30)]
+    assert [a.t for a in automata[:2]] == [93, 216]
+    for a in automata:
+        text = write_dfa(a)
+        assert text == reference_write_dfa(a)
+        assert parse_dfa(text) == a
 
 
 def test_dfa_text_rejects_garbage():

@@ -307,6 +307,44 @@ def test_gen_compose_pipeline(tmp_path, capsys):
     assert payload["report"]["c1_no_short_reset"] is True
 
 
+def _one_item_batch(t):
+    rng = random.Random(t)
+    rows = "".join(f"{rng.randrange(t)} {rng.randrange(t)}\n" for _ in range(t))
+    return f"batch 1 {t}\nitem 0 2\n{rows}"
+
+
+def test_gen_compose_refuses_past_the_entry_cap_at_once(tmp_path, capsys):
+    # One item at t = 200 would compose to 5,333,405 states x 204 letters.
+    path = tmp_path / "batch.txt"
+    path.write_text(_one_item_batch(200))
+    out_path = tmp_path / "dfa.txt"
+    for argv in (("gen", "compose", "--batch", str(path), "--out", str(out_path)),
+                 ("verify", "compose", "--batch", str(path))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("size limit: composed automaton of 5333405 states")
+    assert not out_path.exists()
+
+
+def test_sync_shortest_refuses_a_composed_table_past_its_byte_cap(tmp_path, capsys):
+    # A one-item t = 20 batch composes (5,345 states x 24 letters) under
+    # compose.COMPOSE_ENTRY_CAP; its reset-word search tables would take
+    # about 2.7 GB, so sync shortest refuses before building them.
+    path = tmp_path / "batch.txt"
+    path.write_text(_one_item_batch(20))
+    out_path = tmp_path / "dfa.txt"
+    assert run(capsys, "gen", "compose", "--batch", str(path),
+               "--out", str(out_path)) == (0, "5345\n", "")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sync", "shortest", "--in", str(out_path),
+                         "--limit", "1331")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == "size limit: reset-word search tables of 2749814784 bytes above cap 134217728\n"
+
+
 def test_verify_compose_answers_big_batches_like_gen_compose(tmp_path, capsys):
     # m = 4 items at t = 2 leave m >= 2^t after preprocessing, so the batch
     # is decided by the big-m branch, not composed; both commands answer it.

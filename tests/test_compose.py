@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,9 @@ from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.syncsolve import pin_bound, shortest_reset_word, syn_decide
 
 from support import all_reset_words_upto, per_letter_compose_tables, random_dfa
+
+# The package exports the function compose under the module's name.
+compose_module = importlib.import_module("roadsync.compose")
 
 
 def _random_raw(rng, t, m, max_d=None):
@@ -329,6 +334,32 @@ def test_verify_size_guard():
     comp = compose(res.batch)
     with pytest.raises(SizeLimitError):
         verify_c1_c2_c3(comp, res.batch)
+
+
+def test_compose_entry_cap_refuses_before_any_row(monkeypatch):
+    # states x letters is counted from t, m and the item alphabets, so a
+    # batch past the cap is refused before its table exists: one two-letter
+    # item at t = 200 would give 5,333,405 states x 204 letters.
+    rng = random.Random(5)
+    big = CompositionBatch(200, (BatchItem(add_identity_letter(random_dfa(rng, 200, 2)), 0),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="5333405 states x 204 letters"):
+            compose(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # The cap is inclusive: a batch of exactly COMPOSE_ENTRY_CAP entries is built.
+    raw = _random_raw(rng, 4, 3)
+    batch = preprocess(raw, 4).batch
+    built = compose(batch).dfa
+    entries = built.t * built.alphabet_size
+    monkeypatch.setattr(compose_module, "COMPOSE_ENTRY_CAP", entries)
+    assert compose(batch).dfa == built
+    monkeypatch.setattr(compose_module, "COMPOSE_ENTRY_CAP", entries - 1)
+    with pytest.raises(SizeLimitError):
+        compose(batch)
 
 
 def test_batch_text_roundtrip():

@@ -1,13 +1,17 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from roadsync.automata import apply_word, cerny_automaton, make_dfa
 from roadsync.compose import compose, preprocess
-from roadsync.errors import InvalidInputError
+from roadsync import syncsolve
+from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.syncsolve import (
+    RESET_TABLE_BYTE_CAP,
+    _field_bits,
     is_synchronizing,
     pin_bound,
     shortest_reset_word,
@@ -187,3 +191,40 @@ def test_search_matches_bitloop_oracle_composed():
             assert w == bitloop_shortest_reset_word(composed.dfa, composed.d_prime)
             answers.append(w is not None)
     assert True in answers and False in answers
+
+
+def test_reset_table_cap_refuses_before_building(monkeypatch):
+    # Past the cap nothing that grows with t is built: not the per-state
+    # masks (t ints of |letters| * _field_bits(t) bits) and not the tables.
+    def unexpected(_):
+        raise AssertionError("masks built past RESET_TABLE_BYTE_CAP")
+
+    monkeypatch.setattr(syncsolve, "_image_masks", unexpected)
+    monkeypatch.setattr(syncsolve, "_preimage_masks", unexpected)
+    for n in (4096, 10 ** 5):
+        a = cerny_automaton(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="reset-word search tables"):
+                shortest_reset_word(a, limit=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        # The answers that need no table still come back.
+        assert shortest_reset_word(a, limit=0) is None
+
+
+def test_reset_table_cap_is_in_table_bytes(monkeypatch):
+    # ceil(t/8) tables of 256 ints, each one _field_bits(t)-bit field per
+    # letter; 4,095 states over two letters are the most the cap admits.
+    def table_bytes(t, letters):
+        return math.ceil(t / 8) * 256 * letters * _field_bits(t) // 8
+
+    assert table_bytes(4095, 2) <= RESET_TABLE_BYTE_CAP < table_bytes(4096, 2)
+    a = cerny_automaton(9)
+    monkeypatch.setattr(syncsolve, "RESET_TABLE_BYTE_CAP", table_bytes(9, 2))
+    assert len(shortest_reset_word(a)) == 64
+    monkeypatch.setattr(syncsolve, "RESET_TABLE_BYTE_CAP", table_bytes(9, 2) - 1)
+    with pytest.raises(SizeLimitError):
+        shortest_reset_word(a)
