@@ -27,7 +27,8 @@ from .syncsolve import (_byte_tables, _disjoint, _field_bits, _image_masks,
                         _pack, is_synchronizing, pin_bound,
                         shortest_reset_word, syn_decide)
 
-# verify_c1_c2_c3 enumerates every word of length z(t)+1.
+# verify_c1_c2_c3 refuses a space of more words of length z(t)+1 than this.
+# It bounds the space, not the work, which follows the prefix images.
 C2_WORD_CAP = 10 ** 8
 VERIFY_STATE_CAP = 3
 VERIFY_ITEM_CAP = 2
@@ -352,13 +353,15 @@ def _to_item_letter(composed: ComposedAutomaton, i: int, letter: int) -> int:
 def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
     """Every word of the given length (>= 1) that resets dfa, in product order.
 
-    A depth-first walk over all alphabet_size^length words that holds the
-    image of each prefix as a bitmask and steps it under every letter at once
-    through the reset-word search's byte tables, so a word costs one image
-    step, not one pass over the whole word.  The last letter is tested for
+    The resetting suffixes of a prefix depend only on its depth and its
+    image, so each image reached at a depth is stepped once, under every
+    letter at once, through the reset-word search's byte tables, and its
+    list of suffixes is built once and shared by every prefix that reaches
+    it: the work follows the distinct images and the words found, not the
+    alphabet_size^length words of the space.  The last letter is tested for
     all letters at once: a field of images & (images - ones) is 0 exactly
     when its image is a singleton (no image is empty, so no borrow crosses
-    fields).
+    fields), and _disjoint sets that field's guard bit.
     """
     t = dfa.t
     low, *high = _byte_tables(_image_masks(dfa))
@@ -367,10 +370,14 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
     stride = _field_bits(t)
     letters = range(dfa.alphabet_size)
     _, ones, guard = _pack([0] * dfa.alphabet_size, t)
-    word = [0] * length
-    found: list[tuple[int, ...]] = []
+    # suffixes[depth][image]: the words of length - depth letters that
+    # reset image, in product order.
+    suffixes: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(length)]
 
-    def walk(depth: int, image: int) -> None:
+    def words_from(depth: int, image: int) -> list[tuple[int, ...]]:
+        known = suffixes[depth].get(image)
+        if known is not None:
+            return known
         images = low[image & 255]
         for shift, table in high_blocks:
             byte = (image >> shift) & 255
@@ -378,19 +385,16 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
                 images |= table[byte]
         if depth + 1 == length:
             singletons = _disjoint((images & (images - ones), ones, guard), full)
-            while singletons:
-                bit = singletons & -singletons
-                word[depth] = (bit.bit_length() - 1) // stride
-                found.append(tuple(word))
-                singletons ^= bit
-            return
-        for x in letters:
-            word[depth] = x
-            walk(depth + 1, images & full)
-            images >>= stride
+            words = [(x,) for x in letters if (singletons >> (x * stride + t)) & 1]
+        else:
+            words = [(x,) + word for x in letters
+                     for word in words_from(depth + 1, (images >> x * stride) & full)]
+        suffixes[depth][image] = words
+        return words
 
-    walk(0, (1 << dfa.t) - 1)
-    return found
+    words = words_from(0, full)
+    del words_from  # it refers to itself: drop the cycle, so the memo goes now
+    return words
 
 
 def verify_c1_c2_c3(composed: ComposedAutomaton,

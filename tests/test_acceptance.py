@@ -172,10 +172,9 @@ def test_criterion_5_composition_correctness():
         comp = compose(pre.batch)
         if syn_decide(comp.dfa, comp.d_prime) != expected:
             equiv_fail += 1
-        if trial < 20:
-            if not verify_c1_c2_c3(comp, pre.batch).all_pass:
-                c123_fail += 1
-            full_verified += 1
+        if not verify_c1_c2_c3(comp, pre.batch).all_pass:
+            c123_fail += 1
+        full_verified += 1
         batches += 1
 
     # hand-built all-NO batch: permutation letters never synchronize

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import random
 import tracemalloc
@@ -30,7 +31,8 @@ from roadsync.compose import (
 from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.syncsolve import pin_bound, shortest_reset_word, syn_decide
 
-from support import all_reset_words_upto, per_letter_compose_tables, random_dfa
+from support import (all_reset_words_upto, dfs_reset_words_of_length,
+                     per_letter_compose_tables, random_dfa)
 
 # The package exports the function compose under the module's name.
 compose_module = importlib.import_module("roadsync.compose")
@@ -325,6 +327,87 @@ def test_c2_walk_flags_a_misshaped_reset_word():
     assert report.c2_all_shaped is False
     assert word in _reset_words_of_length(dfa, composed.z + 1)
     assert (report.reset_word_count, False) == _brute_c2(mutated, batch)
+
+
+def _assert_walk_matches_dfs(dfa, length):
+    words = walk_reset_words(dfa, length)
+    assert words == dfs_reset_words_of_length(dfa, length), (dfa.delta, length)
+    return len(words)
+
+
+def test_c2_walk_matches_dfs_on_random_automata():
+    rng = random.Random(37)
+    found = 0
+    for _ in range(60):
+        dfa = random_dfa(rng, rng.randint(1, 8), rng.randint(1, 4))
+        for length in range(1, 7):
+            found += _assert_walk_matches_dfs(dfa, length)
+    assert found > 0
+
+
+def test_c2_walk_matches_dfs_when_most_words_reset():
+    # Letter 0 sends every state to 0, so every word holding it resets:
+    # the suffix lists are long and shared by many prefixes.
+    rng = random.Random(41)
+    for t in (2, 5, 9):
+        rows = tuple((0,) + tuple(rng.randrange(t) for _ in range(2)) for _ in range(t))
+        dfa = Dfa(t, 3, rows)
+        for length in (1, 3, 6):
+            count = _assert_walk_matches_dfs(dfa, length)
+            assert count >= 3 ** length - 2 ** length
+
+
+def test_c2_walk_matches_dfs_when_no_word_resets():
+    rng = random.Random(43)
+    for t in (2, 4, 8):
+        for k in (1, 3):
+            rows = [[0] * k for _ in range(t)]
+            for x in range(k):
+                perm = list(range(t))
+                rng.shuffle(perm)
+                for p in range(t):
+                    rows[p][x] = perm[p]
+            dfa = Dfa(t, k, tuple(map(tuple, rows)))
+            for length in (1, 4, 6):
+                assert _assert_walk_matches_dfs(dfa, length) == 0
+
+
+def test_c2_walk_matches_dfs_on_one_state():
+    # Every word resets a one-state automaton.
+    for k in (1, 2, 3):
+        dfa = Dfa(1, k, (tuple([0] * k),))
+        for length in (1, 2, 5):
+            assert _assert_walk_matches_dfs(dfa, length) == k ** length
+
+
+def test_c2_walk_matches_dfs_on_benchmark_verify_shapes():
+    # verify compose at t = 3 with m = 1 and 2: words of length z + 1 over
+    # the composed alphabet, with the first item's budget at its own
+    # shortest reset length where that is below z, so that words reset.
+    rng = random.Random(47)
+    z = pin_bound(3)
+    found = 0
+    for m in (1, 1, 2, 2):
+        raw = _random_raw(rng, 3, m)
+        w = shortest_reset_word(raw[0][0])
+        if w is not None and len(w) < z:
+            raw[0] = (raw[0][0], len(w))
+        composed = compose(preprocess(raw, 3).batch)
+        found += _assert_walk_matches_dfs(composed.dfa, z + 1)
+    assert found > 0
+
+
+def test_c2_walk_frees_its_memo_on_return():
+    # The memo of suffixes can hold every reset word; it must go when the
+    # walk returns, not wait in a reference cycle for the collector.
+    dfa = Dfa(3, 3, ((0, 1, 2), (0, 2, 0), (0, 0, 1)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert walk_reset_words(dfa, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_size_guard():
