@@ -3,7 +3,6 @@
 
     python3 scripts/ab_groups.py PARENT_SRC CHANGE_SRC
     python3 scripts/ab_groups.py PARENT_SRC CHANGE_SRC --workload coloring --seed 2 --reps 11
-    python3 scripts/ab_groups.py PARENT_SRC CHANGE_SRC --groups verify-m1,verify-m2
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 one's ``roadsync`` is loaded under its own package name (``roadsync_parent``,
@@ -13,8 +12,7 @@ perfbench inputs of the workload and seed, built in a temporary directory
 then every rep runs each query on both sides back to back, in an order that
 swaps from rep to rep.  Every run of a query must give both sides the same
 exit code, the same stdout and the same ``--out`` and ``--names`` files, byte
-for byte; the script stops at the first difference.  ``--groups`` keeps only
-the queries of the named groups (the warm-up queries still run).
+for byte; the script stops at the first difference.
 
 A query's latency is the median over its reps, timed around
 ``roadsync.cli.main`` as perfbench/run.py times it.  The script prints, per
@@ -93,7 +91,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=workloads.WORKLOADS, default="reset-compose")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--reps", type=int, default=21)
-    parser.add_argument("--groups", help="comma-separated query groups to A/B (default: all)")
     args = parser.parse_args(argv)
     mains = {side: load_main(src.resolve(), side)
              for side, src in zip(SIDES, (args.parent_src, args.change_src))}
@@ -104,12 +101,6 @@ def main(argv=None) -> int:
         for q in inputs.warmup:
             run_both(mains, q, SIDES)
         queries = inputs.queries
-        if args.groups:
-            wanted = set(args.groups.split(","))
-            unknown = wanted - {q.group for q in queries}
-            if unknown:
-                raise SystemExit(f"error: no queries in group(s) {', '.join(sorted(unknown))}")
-            queries = [q for q in queries if q.group in wanted]
         latencies = {side: [[] for _ in queries] for side in SIDES}
         for rep in range(args.reps):
             gc.collect()

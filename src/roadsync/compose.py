@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .automata import Dfa, _content_lines, _header, _table, apply_word
 from .errors import InvalidInputError, SizeLimitError
 from .syncsolve import (_byte_tables, _disjoint, _field_bits, _image_masks,
-                        _pack, is_synchronizing, pin_bound,
+                        _pack, _step, is_synchronizing, pin_bound,
                         shortest_reset_word, syn_decide)
 
 # verify_c1_c2_c3 refuses a space of more words of length z(t)+1 than this.
@@ -364,8 +364,7 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
     fields), and _disjoint sets that field's guard bit.
     """
     t = dfa.t
-    low, *high = _byte_tables(_image_masks(dfa))
-    high_blocks = list(zip(range(8, t, 8), high))
+    tables = _byte_tables(_image_masks(dfa))
     full = (1 << t) - 1
     stride = _field_bits(t)
     letters = range(dfa.alphabet_size)
@@ -378,11 +377,7 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
         known = suffixes[depth].get(image)
         if known is not None:
             return known
-        images = low[image & 255]
-        for shift, table in high_blocks:
-            byte = (image >> shift) & 255
-            if byte:
-                images |= table[byte]
+        images = _step(tables, image)
         if depth + 1 == length:
             singletons = _disjoint((images & (images - ones), ones, guard), full)
             words = [(x,) for x in letters if (singletons >> (x * stride + t)) & 1]

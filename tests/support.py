@@ -15,8 +15,7 @@ import numpy as np
 from roadsync.automata import Dfa, apply_word
 from roadsync.compose import pattern_functions, pattern_subset, pattern_width
 from roadsync.graphs import Coloring, Multigraph, coloring_from_index
-from roadsync.syncsolve import (_byte_tables, _disjoint, _field_bits, _image_masks,
-                                _pack, pin_bound)
+from roadsync.syncsolve import pin_bound
 
 
 def random_dfa(rng: random.Random, t: int, k: int) -> Dfa:
@@ -241,50 +240,6 @@ def all_reset_words_upto(a: Dfa, max_len: int):
             if len(apply_word(a, full, word)) == 1:
                 out.append(word)
     return out
-
-
-def dfs_reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
-    """Every word of the given length (>= 1) that resets dfa, in product order:
-    the reference for `compose._reset_words_of_length`, which enumerates by
-    (depth, image) and shares the suffixes of an image.
-
-    A depth-first walk over all alphabet_size^length words that holds the
-    image of each prefix as a bitmask and steps it under every letter at once
-    through the reset-word search's byte tables, so a word costs one image
-    step.  The last letter is tested for all letters at once: a field of
-    images & (images - ones) is 0 exactly when its image is a singleton.
-    """
-    t = dfa.t
-    low, *high = _byte_tables(_image_masks(dfa))
-    high_blocks = list(zip(range(8, t, 8), high))
-    full = (1 << t) - 1
-    stride = _field_bits(t)
-    letters = range(dfa.alphabet_size)
-    _, ones, guard = _pack([0] * dfa.alphabet_size, t)
-    word = [0] * length
-    found: list[tuple[int, ...]] = []
-
-    def walk(depth: int, image: int) -> None:
-        images = low[image & 255]
-        for shift, table in high_blocks:
-            byte = (image >> shift) & 255
-            if byte:
-                images |= table[byte]
-        if depth + 1 == length:
-            singletons = _disjoint((images & (images - ones), ones, guard), full)
-            while singletons:
-                bit = singletons & -singletons
-                word[depth] = (bit.bit_length() - 1) // stride
-                found.append(tuple(word))
-                singletons ^= bit
-            return
-        for x in letters:
-            word[depth] = x
-            walk(depth + 1, images & full)
-            images >>= stride
-
-    walk(0, full)
-    return found
 
 
 def oracle_first_indices(g: Multigraph, words) -> dict:

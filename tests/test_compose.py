@@ -31,8 +31,7 @@ from roadsync.compose import (
 from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.syncsolve import pin_bound, shortest_reset_word, syn_decide
 
-from support import (all_reset_words_upto, dfs_reset_words_of_length,
-                     per_letter_compose_tables, random_dfa)
+from support import all_reset_words_upto, per_letter_compose_tables, random_dfa
 
 # The package exports the function compose under the module's name.
 compose_module = importlib.import_module("roadsync.compose")
@@ -291,18 +290,36 @@ def test_c2_walk_matches_brute_force():
     assert max(counts) > 0
 
 
+def _constant_letter_dfa(rng, t):
+    """Letter 0 sends every state to 0, so most words reset."""
+    return Dfa(t, 3, tuple((0, rng.randrange(t), rng.randrange(t)) for _ in range(t)))
+
+
+def _permutation_dfa(rng, t, k):
+    """Every letter permutes the states, so no word resets (t > 1)."""
+    perms = [rng.sample(range(t), t) for _ in range(k)]
+    return Dfa(t, k, tuple(tuple(perm[p] for perm in perms) for p in range(t)))
+
+
 def test_c2_walk_words_match_enumeration_at_any_state_count():
     # The walk reads the images under the last letter as packed fields;
     # state counts around the byte boundaries move each field's spare bit.
     rng = random.Random(31)
+    cases = [(random_dfa(rng, t, rng.randint(1, 3)), (1, 2, 3))
+             for t in (1, 2, 3, 7, 8, 9, 15, 16, 17) for _ in range(8)]
+    # Longer words, whose prefixes share images and suffix lists: random
+    # automata, a constant letter (long lists), permutations (none), t = 1.
+    cases += [(random_dfa(rng, rng.randint(1, 8), rng.randint(1, 4)), range(1, 7))
+              for _ in range(30)]
+    cases += [(_constant_letter_dfa(rng, t), (3, 6)) for t in (2, 5, 9)]
+    cases += [(_permutation_dfa(rng, t, k), (4, 6)) for t in (2, 4, 8) for k in (1, 3)]
+    cases += [(Dfa(1, k, ((0,) * k,)), (2, 5)) for k in (1, 2, 3)]
     found = 0
-    for t in (1, 2, 3, 7, 8, 9, 15, 16, 17):
-        for _ in range(8):
-            dfa = random_dfa(rng, t, rng.randint(1, 3))
-            for length in (1, 2, 3):
-                words = walk_reset_words(dfa, length)
-                assert words == _reset_words_of_length(dfa, length), (dfa.delta, length)
-                found += len(words)
+    for dfa, lengths in cases:
+        for length in lengths:
+            words = walk_reset_words(dfa, length)
+            assert words == _reset_words_of_length(dfa, length), (dfa.delta, length)
+            found += len(words)
     assert found > 0
 
 
@@ -327,74 +344,6 @@ def test_c2_walk_flags_a_misshaped_reset_word():
     assert report.c2_all_shaped is False
     assert word in _reset_words_of_length(dfa, composed.z + 1)
     assert (report.reset_word_count, False) == _brute_c2(mutated, batch)
-
-
-def _assert_walk_matches_dfs(dfa, length):
-    words = walk_reset_words(dfa, length)
-    assert words == dfs_reset_words_of_length(dfa, length), (dfa.delta, length)
-    return len(words)
-
-
-def test_c2_walk_matches_dfs_on_random_automata():
-    rng = random.Random(37)
-    found = 0
-    for _ in range(60):
-        dfa = random_dfa(rng, rng.randint(1, 8), rng.randint(1, 4))
-        for length in range(1, 7):
-            found += _assert_walk_matches_dfs(dfa, length)
-    assert found > 0
-
-
-def test_c2_walk_matches_dfs_when_most_words_reset():
-    # Letter 0 sends every state to 0, so every word holding it resets:
-    # the suffix lists are long and shared by many prefixes.
-    rng = random.Random(41)
-    for t in (2, 5, 9):
-        rows = tuple((0,) + tuple(rng.randrange(t) for _ in range(2)) for _ in range(t))
-        dfa = Dfa(t, 3, rows)
-        for length in (1, 3, 6):
-            count = _assert_walk_matches_dfs(dfa, length)
-            assert count >= 3 ** length - 2 ** length
-
-
-def test_c2_walk_matches_dfs_when_no_word_resets():
-    rng = random.Random(43)
-    for t in (2, 4, 8):
-        for k in (1, 3):
-            rows = [[0] * k for _ in range(t)]
-            for x in range(k):
-                perm = list(range(t))
-                rng.shuffle(perm)
-                for p in range(t):
-                    rows[p][x] = perm[p]
-            dfa = Dfa(t, k, tuple(map(tuple, rows)))
-            for length in (1, 4, 6):
-                assert _assert_walk_matches_dfs(dfa, length) == 0
-
-
-def test_c2_walk_matches_dfs_on_one_state():
-    # Every word resets a one-state automaton.
-    for k in (1, 2, 3):
-        dfa = Dfa(1, k, (tuple([0] * k),))
-        for length in (1, 2, 5):
-            assert _assert_walk_matches_dfs(dfa, length) == k ** length
-
-
-def test_c2_walk_matches_dfs_on_benchmark_verify_shapes():
-    # verify compose at t = 3 with m = 1 and 2: words of length z + 1 over
-    # the composed alphabet, with the first item's budget at its own
-    # shortest reset length where that is below z, so that words reset.
-    rng = random.Random(47)
-    z = pin_bound(3)
-    found = 0
-    for m in (1, 1, 2, 2):
-        raw = _random_raw(rng, 3, m)
-        w = shortest_reset_word(raw[0][0])
-        if w is not None and len(w) < z:
-            raw[0] = (raw[0][0], len(w))
-        composed = compose(preprocess(raw, 3).batch)
-        found += _assert_walk_matches_dfs(composed.dfa, z + 1)
-    assert found > 0
 
 
 def test_c2_walk_frees_its_memo_on_return():
