@@ -7,6 +7,7 @@ indices.  State sets are frozensets; images under words shrink monotonically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidInputError, SizeLimitError
@@ -31,12 +32,11 @@ class Dfa:
             raise InvalidInputError("automaton needs t >= 1 and alphabet_size >= 1")
         if len(self.delta) != self.t:
             raise InvalidInputError("delta needs exactly one row per state")
-        for row in self.delta:
-            if len(row) != self.alphabet_size:
-                raise InvalidInputError("delta row width must equal alphabet_size")
-            for q in row:
-                if not 0 <= q < self.t:
-                    raise InvalidInputError(f"transition target {q} out of range")
+        if set(map(len, self.delta)) != {self.alphabet_size}:
+            raise InvalidInputError("delta row width must equal alphabet_size")
+        q = _bad_target(self.delta, self.t)
+        if q is not None:
+            raise InvalidInputError(f"transition target {q} out of range")
 
     def full_set(self) -> StateSet:
         return frozenset(range(self.t))
@@ -45,6 +45,17 @@ class Dfa:
         for x in w:
             if not 0 <= x < self.alphabet_size:
                 raise InvalidInputError(f"letter {x} out of range for alphabet_size {self.alphabet_size}")
+
+
+def _bad_target(rows: Sequence[Sequence[int]], t: int) -> Optional[int]:
+    """The first entry of rows, in row order, outside 0..t-1, or None.
+
+    All entries are checked at once, through one set and its min and max;
+    the rows are scanned in order only when that check fails."""
+    targets = set().union(*rows)
+    if targets and (min(targets) < 0 or max(targets) >= t):
+        return next(q for row in rows for q in row if not 0 <= q < t)
+    return None
 
 
 def make_dfa(rows: Sequence[Sequence[int]]) -> Dfa:
@@ -118,11 +129,16 @@ def word_from_str(text: str, alphabet_size: int) -> Word:
 
 
 def _ints(tokens: Sequence[str], what: str) -> tuple[int, ...]:
-    """Parse integer tokens of an input field, else InvalidInputError."""
-    try:
-        return tuple(int(tok) for tok in tokens)
-    except ValueError:
-        raise InvalidInputError(f"{what}: expected integers, got {' '.join(tokens)!r}") from None
+    """Parse the ASCII decimal integer tokens of an input field, else
+    InvalidInputError.  int() alone would also take digit-group underscores
+    (1_0) and non-ASCII digits, so the joined tokens are checked first."""
+    text = " ".join(tokens)
+    if text.isascii() and "_" not in text:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    raise InvalidInputError(f"{what}: expected integers, got {text!r}")
 
 
 def _content_lines(text: str) -> list[str]:
@@ -164,7 +180,9 @@ def parse_dfa(text: str) -> Dfa:
 
 def write_dfa(a: Dfa) -> str:
     names = [str(q) for q in range(a.t)]
+    if a.alphabet_size == 1:
+        # itemgetter of one index returns the name itself, not a 1-tuple.
+        names = [(name,) for name in names]
     lines = [f"dfa {a.t} {a.alphabet_size}"]
-    for row in a.delta:
-        lines.append(" ".join([names[q] for q in row]))
+    lines += [" ".join(itemgetter(*row)(names)) for row in a.delta]
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ row escapes to the absorbing state via the omega letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -131,16 +132,13 @@ def pattern_functions(i: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     The required ranges are the bit subset of i and its complement; listing a
     range ascending as b_0 < ... < b_{r-1}, we use pi(k) = b_{k mod r}.
     """
-    q = pattern_width(m)
-    inside = sorted(pattern_subset(i, m))
-    outside = sorted(set(range(q + 1)) - set(inside))
-    if not inside or not outside:
-        raise RuntimeError(f"pattern of {i} leaves a range empty")
+    return _patterns(pattern_subset(i, m), pattern_width(m))
 
-    def cyclic(targets: list[int]) -> tuple[int, ...]:
-        return tuple(targets[k % len(targets)] for k in range(q + 1))
 
-    return cyclic(inside), cyclic(outside)
+def _patterns(inside: frozenset[int], q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """pattern_functions of the nonempty proper subset `inside` of R = {0..q}."""
+    ranges = (sorted(inside), [k for k in range(q + 1) if k not in inside])
+    return tuple(tuple((r * (q + 1))[:q + 1]) for r in ranges)
 
 
 @dataclass(frozen=True)
@@ -151,12 +149,28 @@ class ComposedAutomaton:
     d_prime: int
     z: int
     q: int
-    state_names: tuple[str, ...]
-    letter_names: tuple[str, ...]
     item_letter_offsets: tuple[int, ...]  # first non-kappa letter of each item
     item_alphabet_sizes: tuple[int, ...]  # including kappa
 
     # State layout: base states 0..t-1, then D, then guard cells.
+    @cached_property
+    def state_names(self) -> tuple[str, ...]:
+        """s1..st, D, then the guard cells (h,col,T|F), row by row."""
+        names = [f"s{s + 1}" for s in range(self.t)] + ["D"]
+        names += [f"({h},{col},{flag})" for h in range(self.z + 1)
+                  for col in range(self.q + 1) for flag in "TF"]
+        return tuple(names)
+
+    @cached_property
+    def letter_names(self) -> tuple[str, ...]:
+        """kappa, the items' letters xi,j, then alpha1..alpham, omega1..omegat."""
+        names = ["kappa"]
+        for i, size in enumerate(self.item_alphabet_sizes, 1):
+            names += [f"x{i},{j}" for j in range(1, size)]
+        names += [f"alpha{i}" for i in range(1, self.m + 1)]
+        names += [f"omega{s + 1}" for s in range(self.t)]
+        return tuple(names)
+
     @property
     def dead(self) -> int:
         return self.t
@@ -219,7 +233,6 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
             f"above cap {COMPOSE_ENTRY_CAP} entries")
 
     subsets = [pattern_subset(i, m) for i in range(1, m + 1)]
-    pis = [pattern_functions(i, m) for i in range(1, m + 1)]
     dead = t
 
     # Base states: the items' letters, fixed by kappa and every alpha_i;
@@ -250,31 +263,21 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
             for h in range(z + 1)]
     row0 = rows[0]
     drops = tuple(row0[2 * col] for col, _ in cells)
+    # On table row h = 1..z-1, an x letter picks from nexts[h - 1].
+    nexts = [rows[h + 1] + drops for h in range(1, z)]
     columns = [list(chain.from_iterable(
         rows[h + 1] if 1 <= h < z else row0 for h in range(z + 1)))]
     for item, inside, size in zip(batch.items, subsets, sizes):
         pick = itemgetter(*[c if (col in inside) == (flag == 0) else width + c
                             for c, (col, flag) in enumerate(cells)])
         x = list(chain.from_iterable(
-            pick(rows[h + 1] + drops) if 1 <= h <= item.d else row0
-            for h in range(z + 1)))
+            [row0, *map(pick, nexts[:item.d]), *[row0] * (z - item.d)]))
         columns += [x] * (size - 1)
-    for pi in pis:
+    for inside in subsets:
+        pi = _patterns(inside, q)
         columns.append([rows[1][2 * pi[flag][col] + flag] for col, flag in cells] * (z + 1))
     columns += [list(chain.from_iterable([row0] * z + [(dead,) * width]))] * t
     delta += zip(*columns)
-
-    state_names = [f"s{s + 1}" for s in range(t)] + ["D"]
-    state_names += [f"({h},{col},{'TF'[flag]})" for h in range(z + 1)
-                    for col, flag in cells]
-
-    letter_names = ["kappa"]
-    for i in range(1, m + 1):
-        for j in range(1, sizes[i - 1]):
-            letter_names.append(f"x{i},{j}")
-    letter_names += [f"alpha{i}" for i in range(1, m + 1)]
-    letter_names += [f"omega{s + 1}" for s in range(t)]
-
     return ComposedAutomaton(
         dfa=Dfa(len(delta), n_letters, tuple(delta)),
         t=t,
@@ -282,8 +285,6 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
         d_prime=z + 1,
         z=z,
         q=q,
-        state_names=tuple(state_names),
-        letter_names=tuple(letter_names),
         item_letter_offsets=tuple(offsets),
         item_alphabet_sizes=sizes,
     )

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .automata import Dfa, LETTER_CHARS, _content_lines, _table
+from .automata import Dfa, LETTER_CHARS, _bad_target, _content_lines, _table
 from .errors import InvalidInputError
 
 
@@ -27,10 +27,9 @@ class Multigraph:
             raise InvalidInputError("graph needs t >= 1")
         if len(self.out_edges) != self.t:
             raise InvalidInputError("out_edges needs one slot list per vertex")
-        for targets in self.out_edges:
-            for v in targets:
-                if not 0 <= v < self.t:
-                    raise InvalidInputError(f"edge target {v} out of range")
+        v = _bad_target(self.out_edges, self.t)
+        if v is not None:
+            raise InvalidInputError(f"edge target {v} out of range")
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:

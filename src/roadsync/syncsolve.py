@@ -165,7 +165,8 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
     the parent chain of the first meeting forward set, in frontier order,
     with letters expanded in increasing order; it is completed with the
     least letter whose image lies inside a set of the backward level one
-    shorter, step by step.  Repeated calls are identical.
+    shorter, step by step, tested against the complements of that level's
+    sets that the search kept.  Repeated calls are identical.
 
     Raises SizeLimitError, before any table or mask is built, when one set
     of byte tables would pass RESET_TABLE_BYTE_CAP bytes: ceil(t/8) tables
@@ -191,36 +192,39 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
     parent: dict[int, tuple[int, int]] = {full: (-1, -1)}
     frontier = [full]
     inside = None  # _pack(frontier, t), built when the backward side needs it
-    backward = [[1 << q for q in range(t)]]
-    outside = None  # _pack of the complements of backward[-1]
+    last = [1 << q for q in range(t)]  # the backward side's last level
+    # kept[j - 1]: the complements of the sets of backward level j >= 1, as
+    # the search built them; level 0 holds the singletons.
+    kept: list[list[int]] = []
+    outside = None  # _pack(kept[-1], t), built when the forward side needs it
     found = t  # new sets of the backward side's last step: its frontier size
-    seen = {0, *backward[0]}  # so the empty preimage is never kept
+    seen = {0, *last}  # so the empty preimage is never kept
     pre_masks: list[int] = []
     backward_tables: list[list[int]] = []
 
-    def complete(f: int, rest: int) -> Word:
+    def complete(f: int) -> Word:
         word = []
         node = f
         while parent[node][1] != -1:
             node, letter = parent[node]
             word.append(letter)
         word.reverse()
-        for r in range(rest - 1, -1, -1):
-            level = _pack([full ^ b for b in backward[r]], t)
+        for r in range(len(kept) - 1, -1, -1):
             images = _step(forward_tables, f)
-            x = 0
-            while not _disjoint(level, (images >> x * stride) & full):
-                x += 1
+            for x in letters:
+                f = (images >> x * stride) & full
+                # Inside a set of backward level r: a singleton at r = 0.
+                if any(not f & rest for rest in kept[r - 1]) if r else f & (f - 1) == 0:
+                    break
             word.append(x)
-            f = (images >> x * stride) & full
         return tuple(word)
 
     length = 0
     while limit is None or length < limit:
         length += 1
         if len(frontier) <= found:
-            if outside is None and len(backward) > 1:
-                outside = _pack([full ^ b for b in backward[-1]], t)
+            if outside is None and kept:
+                outside = _pack(kept[-1], t)
             nxt_frontier = []
             for cur in frontier:
                 images = low[cur & 255]
@@ -238,22 +242,22 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
                     # moved, else inside a set of its last level.
                     if (nxt & (nxt - 1) == 0 if outside is None
                             else _disjoint(outside, nxt)):
-                        return complete(nxt, len(backward) - 1)
+                        return complete(nxt)
                     nxt_frontier.append(nxt)
             frontier = nxt_frontier
             inside = None
             if not frontier:
                 return None
         else:
-            if len(backward) == 1:
+            if not kept:
                 # A singleton's preimages are its mask, so the tables wait
                 # for the second backward step.
                 pre_masks = _preimage_masks(a)
                 steps = pre_masks
             else:
-                if len(backward) == 2:
+                if len(kept) == 1:
                     backward_tables = _byte_tables(pre_masks)
-                steps = [_step(backward_tables, cur) for cur in backward[-1]]
+                steps = [_step(backward_tables, cur) for cur in last]
             candidates = []
             for images in steps:
                 for x in letters:
@@ -274,7 +278,8 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
                     complements.append(full ^ pre)
             if not level:
                 return None
-            backward.append(level)
+            last = level
+            kept.append(complements)
             outside = None
             found = len(candidates)
             if inside is None:
@@ -284,7 +289,7 @@ def shortest_reset_word(a: Dfa, limit: Optional[int] = None) -> Optional[Word]:
                 hits |= _disjoint(inside, rest)
             if hits:
                 f = frontier[((hits & -hits).bit_length() - 1) // stride]
-                return complete(f, len(backward) - 1)
+                return complete(f)
     return None
 
 

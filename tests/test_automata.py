@@ -15,8 +15,12 @@ from roadsync.automata import (
     word_to_str,
     write_dfa,
 )
-from roadsync.compose import BatchItem, CompositionBatch, add_identity_letter, compose
+from roadsync.compose import (
+    BatchItem, CompositionBatch, add_identity_letter, compose, parse_batch,
+)
 from roadsync.errors import InvalidInputError
+from roadsync.graphs import parse_graph
+from roadsync.satreduce import parse_dimacs
 from roadsync.syncsolve import pin_bound, shortest_reset_word
 
 from support import random_dfa, reference_write_dfa
@@ -29,6 +33,45 @@ def test_dfa_validation():
         Dfa(2, 1, ((0,), (5,)))
     with pytest.raises(InvalidInputError):
         Dfa(2, 2, ((0, 1),))
+
+
+@pytest.mark.parametrize("rows, bad", [
+    (((0, -1), (1, 0), (2, 2)), -1),  # negative
+    (((0, 1), (3, 0), (2, 2)), 3),  # equal to t
+    (((0, 1), (1, 0), (2, 7)), 7),  # in the last row only
+    (((0, 4), (-1, 0), (2, 2)), 4),  # the first in row order, not the least
+    (((0, 1), (5, -3), (9, 2)), 5),  # the first within its row
+])
+def test_dfa_names_first_bad_target(rows, bad):
+    with pytest.raises(InvalidInputError, match=rf"^transition target {bad} out of range$"):
+        Dfa(3, 2, rows)
+
+
+@pytest.mark.parametrize("last", [(2,), (2, 2, 0), ()])
+def test_dfa_refuses_a_row_of_the_wrong_width_after_full_rows(last):
+    with pytest.raises(InvalidInputError, match="^delta row width must equal alphabet_size$"):
+        Dfa(3, 2, ((0, 1), (1, 0), last))
+
+
+@pytest.mark.parametrize("token", ["0_1", "\u0661", "\uff11"])
+def test_parsers_refuse_tokens_outside_ascii_decimal(token):
+    # int() reads 0_1, an Arabic-Indic one and a fullwidth one all as 1; the
+    # text formats define ASCII decimal integers, so each parser refuses them
+    # where it reads "1".
+    cases = [
+        (parse_dfa, "dfa 2 2\n0 {}\n1 0\n"),
+        (parse_dfa, "dfa 2 {}\n0\n1\n"),
+        (parse_graph, "graph 2 2\n0 {}\n1 0\n"),
+        (parse_batch, "batch 1 2\nitem 1 2\n0 {}\n1 1\n"),
+        (parse_dimacs, "p cnf 3 1\n{} -2 3 0\n"),
+        (parse_dimacs, "p cnf 3 {}\n1 -2 3 0\n"),
+    ]
+    for parse, text in cases:
+        parse(text.format("1"))
+        with pytest.raises(InvalidInputError, match="expected integers"):
+            parse(text.format(token))
+    with pytest.raises(InvalidInputError, match="expected integers"):
+        word_from_str(f"0 {token}", 2)
 
 
 def test_apply_word_empty_is_identity():

@@ -454,6 +454,26 @@ def test_non_integer_graph_token_is_exit_1(tmp_path, capsys):
                               "--k", "2"))
 
 
+def test_tokens_outside_ascii_decimal_are_exit_1(tmp_path, capsys):
+    # int() reads both 0_1 and an Arabic-Indic one as 1; every input format
+    # refuses them where the same file with "1" is accepted.
+    inputs = [
+        ("dfa 2 2\n0 {}\n1 0\n", ["sync", "check", "--in"]),
+        ("graph 2 2\n0 {}\n1 0\n", ["srcp", "decide", "--k", "2", "--in"]),
+        ("batch 1 2\nitem 1 2\n0 {}\n1 1\n", ["gen", "compose", "--batch"]),
+        ("p cnf 3 1\n{} -2 3 0\n", ["verify", "sat-reduce", "--in"]),
+    ]
+    for text, argv in inputs:
+        path = tmp_path / "input.txt"
+        path.write_text(text.format("1"))
+        assert run(capsys, *argv, str(path))[0] == 0, argv
+        for token in ("0_1", "\u0661"):
+            path.write_text(text.format(token))
+            code, out, err = run(capsys, *argv, str(path))
+            _assert_clean_exit_1(code, out, err)
+            assert "expected integers" in err, (argv, token)
+
+
 def test_srcpw_word_outside_alphabet_is_exit_1(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(write_graph(make_graph([(0, 1), (0, 1)])))

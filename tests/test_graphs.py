@@ -162,6 +162,30 @@ def test_enumerate_colorings_distinct_and_indexable():
     assert len(seen) == coloring_count(g) == 6 ** 3
 
 
+@pytest.mark.parametrize("out_edges, bad", [
+    (((0, -1), (1, 0), (2, 2)), -1),  # negative
+    (((0, 1), (3, 0), (2, 2)), 3),  # equal to t
+    (((0, 1), (1, 0), (2, 7)), 7),  # in the last row only
+    (((0, 4), (-1, 0), (2, 2)), 4),  # the first in row order, not the least
+    (((0, 1), (5, -3), (9, 2)), 5),  # the first within its row
+    (((0, 1), (), (3,)), 3),  # after an empty slot list
+])
+def test_multigraph_names_first_bad_target(out_edges, bad):
+    with pytest.raises(InvalidInputError, match=rf"^edge target {bad} out of range$"):
+        Multigraph(3, out_edges)
+
+
+def test_multigraph_slot_lists_and_graph_rows():
+    # Slot lists may differ in length, or be empty, but there is one per
+    # vertex; the text format needs rows of the header's out-degree.
+    assert Multigraph(3, ((0, 1), (1, 0), (2,))).out_edges[2] == (2,)
+    assert Multigraph(2, ((), ())).predecessors == ((), ())
+    with pytest.raises(InvalidInputError, match="^out_edges needs one slot list per vertex$"):
+        Multigraph(3, ((0, 1), (1, 0)))
+    with pytest.raises(InvalidInputError, match="row width must equal 2"):
+        parse_graph("graph 3 2\n0 1\n1 0\n2\n")
+
+
 def test_coloring_must_be_bijection():
     g = make_graph([(0, 0)])
     with pytest.raises(InvalidInputError):
