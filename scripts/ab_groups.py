@@ -21,7 +21,11 @@ then the p50 and tail ranks of the per-query latencies, defined as
 perfbench/run.py defines query_p50_ms and query_tail_ms, and the pass: the
 sum of the per-query medians.  perfbench/run.py repeats the pass for its
 whole run, so the pass ratio predicts the ratio of passes run (its inverse),
-and with it the part of peak_rss_mb that grows with the passes kept.
+and with it the part of peak_rss_mb that grows with the passes kept.  The
+last line sizes one pass's outputs as run.py keeps them until its run ends
+(a code/stdout tuple and a latency float per query) and projects, from each
+side's pass, the passes and the MiB kept over a run of the benchmark's
+length (``run_seconds`` in BENCHMARK.json).
 """
 
 import argparse
@@ -30,6 +34,7 @@ import gc
 import importlib
 import importlib.util
 import io
+import json
 import statistics
 import sys
 import tempfile
@@ -43,6 +48,7 @@ import workloads  # noqa: E402
 from run import tail_index  # noqa: E402
 
 SIDES = ("parent", "change")
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def load_main(src: Path, side: str):
@@ -76,12 +82,22 @@ def run_once(main, argv: list[str]):
     return elapsed, (code, out.getvalue(), [path.read_bytes() for path in files])
 
 
-def run_both(mains: dict, q, order: tuple[str, ...]) -> dict:
-    """Run q on both sides in the given order; its latency per side."""
+def run_both(mains: dict, q, order: tuple[str, ...]) -> tuple[dict, tuple]:
+    """Run q on both sides in the given order; its latency per side and its
+    output (exit code, stdout, files written), which both sides share."""
     results = {side: run_once(mains[side], q.argv) for side in order}
     if results["parent"][1] != results["change"][1]:
         raise SystemExit(f"error: {q.qid} ({' '.join(q.argv)}) differs between the sides")
-    return {side: elapsed for side, (elapsed, _) in results.items()}
+    return {side: elapsed for side, (elapsed, _) in results.items()}, results["parent"][1]
+
+
+def kept_bytes(outputs: list[tuple]) -> int:
+    """Bytes of one pass's outputs as perfbench/run.py keeps them: per query
+    a (code, stdout) tuple, its stdout and its latency float, and one slot
+    for each in the pass's two lists (the small-int exit codes are shared)."""
+    n = len(outputs)
+    return (sum(sys.getsizeof((code, out)) + sys.getsizeof(out) for code, out, _ in outputs)
+            + n * sys.getsizeof(0.0) + 2 * sys.getsizeof([None] * n))
 
 
 def main(argv=None) -> int:
@@ -102,12 +118,16 @@ def main(argv=None) -> int:
             run_both(mains, q, SIDES)
         queries = inputs.queries
         latencies = {side: [[] for _ in queries] for side in SIDES}
+        outputs = []
         for rep in range(args.reps):
             gc.collect()
             order = SIDES if rep % 2 == 0 else SIDES[::-1]
             for i, q in enumerate(queries):
-                for side, elapsed in run_both(mains, q, order).items():
-                    latencies[side][i].append(elapsed)
+                elapsed, output = run_both(mains, q, order)
+                for side in SIDES:
+                    latencies[side][i].append(elapsed[side])
+                if rep == 0:
+                    outputs.append(output)
 
     per_query = {side: [statistics.median(lats) * 1e3 for lats in latencies[side]]
                  for side in SIDES}
@@ -131,7 +151,15 @@ def main(argv=None) -> int:
     ranked = {side: sorted(per_query[side]) for side in SIDES}
     row("p50", "", *(statistics.median(per_query[side]) for side in SIDES))
     row(f"tail #{rank + 1}", "", *(ranked[side][rank] for side in SIDES))
-    row("pass", n, *(sum(per_query[side]) for side in SIDES))
+    passes = {side: sum(per_query[side]) for side in SIDES}
+    row("pass", n, *passes.values())
+    size = kept_bytes(outputs)
+    runs = {side: RUN_SECONDS * 1e3 / passes[side] for side in SIDES}
+    kept = {side: runs[side] * size / 2 ** 20 for side in SIDES}
+    print(f"# rss: one pass keeps {size / 1024:.1f} KiB of outputs; over {RUN_SECONDS} s, "
+          f"about {runs['parent']:.0f} -> {runs['change']:.0f} passes keep "
+          f"{kept['parent']:.2f} -> {kept['change']:.2f} MiB "
+          f"({kept['change'] - kept['parent']:+.2f} MiB)")
     return 0
 
 

@@ -7,6 +7,7 @@ indices.  State sets are frozensets; images under words shrink monotonically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -142,12 +143,9 @@ def _ints(tokens: Sequence[str], what: str) -> tuple[int, ...]:
 
 
 def _content_lines(text: str) -> list[str]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    """The stripped lines of text that are neither blank nor `#` comments."""
+    return [line for line in filter(None, map(str.strip, text.splitlines()))
+            if line[0] != "#"]
 
 
 def _header(lines: Sequence[str], usage: str) -> tuple[int, ...]:
@@ -161,15 +159,30 @@ def _header(lines: Sequence[str], usage: str) -> tuple[int, ...]:
 def _table(lines: Sequence[str], usage: str,
            count: Optional[int] = None) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """A `<keyword> <x> <width>` header, then exactly count rows (x rows by
-    default) of width integers each; returns x, width and the rows."""
+    default) of width integers each; returns x, width and the rows.
+
+    The body is checked once, all tokens together, for ASCII and `_`, its
+    row widths through one set, and it is parsed by one map(int) cut into
+    rows by zip.  Only when that fails are the rows scanned in order, to
+    name the first bad row."""
     x, width = _header(lines, usage)
     count = x if count is None else count
     if len(lines) != 1 + count:
         raise InvalidInputError(f"`{usage}`: expected {count} rows, found {len(lines) - 1}")
-    rows = tuple(_ints(line.split(), f"row under `{usage}`") for line in lines[1:])
-    if any(len(row) != width for row in rows):
-        raise InvalidInputError(f"`{usage}`: row width must equal {width}")
-    return x, width, rows
+    if not count:
+        # No row checks the header's width, so no row list is cut by it.
+        return x, width, ()
+    split = list(map(str.split, lines[1:]))
+    tokens = list(chain.from_iterable(split))
+    joined = "".join(tokens)
+    if joined.isascii() and "_" not in joined and set(map(len, split)) == {width}:
+        try:
+            return x, width, tuple(zip(*[map(int, tokens)] * width))
+        except ValueError:
+            pass
+    for row in split:
+        _ints(row, f"row under `{usage}`")
+    raise InvalidInputError(f"`{usage}`: row width must equal {width}")
 
 
 def parse_dfa(text: str) -> Dfa:

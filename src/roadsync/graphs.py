@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .automata import Dfa, LETTER_CHARS, _bad_target, _content_lines, _table
@@ -30,6 +30,12 @@ class Multigraph:
         v = _bad_target(self.out_edges, self.t)
         if v is not None:
             raise InvalidInputError(f"edge target {v} out of range")
+
+    @cached_property
+    def out_degree(self) -> Optional[int]:
+        """The out-degree shared by every vertex, or None when they differ."""
+        degrees = set(map(len, self.out_edges))
+        return degrees.pop() if len(degrees) == 1 else None
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
@@ -56,10 +62,7 @@ def make_graph(out_edges: Sequence[Sequence[int]]) -> Multigraph:
 
 
 def out_degree_uniform(g: Multigraph) -> Optional[int]:
-    degrees = {len(ts) for ts in g.out_edges}
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
+    return g.out_degree
 
 
 def strongly_connected_components(g: Multigraph) -> list[list[int]]:
@@ -112,7 +115,8 @@ def strongly_connected_components(g: Multigraph) -> list[list[int]]:
 
 
 def is_strongly_connected(g: Multigraph) -> bool:
-    return len(strongly_connected_components(g)) == 1
+    """Every vertex reaches vertex 0 and vertex 0 reaches every vertex."""
+    return all(_levels(adjacency, 0)[0] == g.t for adjacency in (g.out_edges, g.predecessors))
 
 
 def is_aperiodic(g: Multigraph) -> bool:
@@ -120,31 +124,39 @@ def is_aperiodic(g: Multigraph) -> bool:
     return _period(g, strongly_connected_components(g)) == 1
 
 
+def _levels(adjacency: Sequence[Sequence[int]], root: int,
+            members: Optional[set[int]] = None) -> tuple[int, int]:
+    """BFS from root along adjacency, inside members (everywhere by default),
+    one level set at a time.  Returns the number of vertices reached and the
+    gcd of level(u) + 1 - level(v) over the edges u -> v it crosses, 0 when
+    they close no cycle.  Inside a strongly connected component that gcd is
+    its period."""
+    seen, frontier = {root}, {root}
+    level = {root: 0}
+    gcd = 0
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = set(chain.from_iterable(map(adjacency.__getitem__, frontier)))
+        if members is not None:
+            reached &= members
+        frontier = reached - seen
+        seen |= frontier
+        # An edge from level depth - 1 into a vertex already at level j adds
+        # depth - j, one into the new frontier adds 0; once the gcd is 1 the
+        # levels are no longer needed.
+        if gcd != 1:
+            gcd = math.gcd(gcd, *[depth - j for j in set(map(level.get, reached)) - {None}])
+            level.update(dict.fromkeys(frontier, depth))
+    return len(seen), gcd
+
+
 def _period(g: Multigraph, components: list[list[int]]) -> int:
-    """The gcd of the cycle lengths inside the given strongly connected components:
-    BFS levels from one root each, folded as gcd(level(u)+1-level(v)) over internal edges."""
+    """The gcd of the cycle lengths inside the given strongly connected components."""
     overall = 0
-    saw_cycle = False
     for comp in components:
-        members = set(comp)
-        internal = [(u, v) for u in comp for v in g.out_edges[u] if v in members]
-        if not internal:
-            continue
-        saw_cycle = True
-        root = comp[0]
-        level = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.out_edges[u]:
-                    if v in members and v not in level:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        for u, v in internal:
-            overall = math.gcd(overall, abs(level[u] + 1 - level[v]))
-    if not saw_cycle:
+        overall = math.gcd(overall, _levels(g.out_edges, comp[0], set(comp))[1])
+    if not overall:
         raise InvalidInputError("graph has no cycles; period undefined")
     return overall
 
@@ -153,9 +165,14 @@ def is_admissible(g: Multigraph) -> bool:
     """Uniform positive out-degree and one sink component, which is aperiodic:
     exactly the graphs with a synchronizing coloring.  Two sinks never merge
     and a coloring keeps the cyclic classes of a periodic sink; otherwise the
-    road coloring theorem synchronizes the sink, which every state reaches."""
+    road coloring theorem synchronizes the sink, which every state reaches.
+    A strongly connected graph is its own sink: the forward BFS that finds it
+    so also gives its period, and only other graphs are split into components."""
     if not out_degree_uniform(g):
         return False
+    reached, period = _levels(g.out_edges, 0)
+    if reached == g.t and _levels(g.predecessors, 0)[0] == g.t:
+        return period == 1
     sinks = [c for c in strongly_connected_components(g)
              if {u for v in c for u in g.out_edges[v]} <= set(c)]
     return len(sinks) == 1 and _period(g, sinks) == 1

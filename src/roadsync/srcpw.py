@@ -83,10 +83,11 @@ def first_word_coloring(g: Multigraph, words: Iterable[Sequence[int]]) -> Option
     vertex has a walk of exactly L edges to it.  Every word's letters and
     length are checked before the first search, one SEARCH_NODE_BUDGET covers
     every word and target, and the choice lists are built once per letter
-    set.  A reset word pads to any longer length (a singleton image stays a
-    singleton), and renaming letters maps colorings to colorings, so SRCP at
-    k is the union of G_w over the words of `srcp.pattern_words(k, d)`;
-    `srcp.srcp_exists_by_patterns` decides it so.
+    set, when the first target passes.  A reset word pads to any longer
+    length (a singleton image stays a singleton), and renaming letters maps
+    colorings to colorings, so SRCP at k is the union of G_w over the words
+    of `srcp.pattern_words(k, d)`; `srcp.srcp_exists_by_patterns` decides it
+    so.
     """
     d = out_degree_uniform(g)
     if d is None:
@@ -104,8 +105,8 @@ def first_word_coloring(g: Multigraph, words: Iterable[Sequence[int]]) -> Option
         return None
     L = len(words[0])
     letter_sets = [tuple(sorted(set(w))) for w in words]
-    choices = {letters: [_choice_table(tuple(map(ts.index, ts)), letters, d)
-                         for ts in g.out_edges] for letters in dict.fromkeys(letter_sets)}
+    # A letter set's choice lists, built when the first target passes.
+    choices: dict[tuple[int, ...], list[tuple]] = {}
     budget = [SEARCH_NODE_BUDGET]
     for q in range(g.t):
         walks = walk_layers(g, q, L - 1)
@@ -114,6 +115,9 @@ def first_word_coloring(g: Multigraph, words: Iterable[Sequence[int]]) -> Option
         if not all(any(u in walks[-1] for u in ts) for ts in g.out_edges):
             continue
         for w, letters in zip(words, letter_sets):
+            if letters not in choices:
+                choices[letters] = [_choice_table(tuple(map(ts.index, ts)), letters, d)
+                                    for ts in g.out_edges]
             coloring = _fixed_word_at(g, w, q, walks, choices[letters], budget)
             if coloring is not None:
                 return coloring

@@ -6,15 +6,18 @@ plain enumeration over words, colorings, and graphs.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations_with_replacement, permutations, product
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from roadsync.automata import Dfa, apply_word
+from roadsync.automata import Dfa, _header, _ints, apply_word
 from roadsync.compose import pattern_functions, pattern_subset, pattern_width
-from roadsync.graphs import Coloring, Multigraph, coloring_from_index
+from roadsync.errors import InvalidInputError
+from roadsync.graphs import (Coloring, Multigraph, coloring_from_index,
+                             strongly_connected_components)
 from roadsync.syncsolve import pin_bound
 
 
@@ -30,6 +33,77 @@ def reference_write_dfa(a: Dfa) -> str:
     for row in a.delta:
         lines.append(" ".join(str(q) for q in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_content_lines(text: str) -> list[str]:
+    """The content lines of an input, one line at a time: the reference for
+    `automata._content_lines`."""
+    out = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            out.append(line)
+    return out
+
+
+def reference_table(lines: Sequence[str], usage: str,
+                    count: Optional[int] = None) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """A header and its rows, each row checked and parsed on its own: the
+    reference for `automata._table`, which parses the whole body at once."""
+    x, width = _header(lines, usage)
+    count = x if count is None else count
+    if len(lines) != 1 + count:
+        raise InvalidInputError(f"`{usage}`: expected {count} rows, found {len(lines) - 1}")
+    rows = tuple(_ints(line.split(), f"row under `{usage}`") for line in lines[1:])
+    if any(len(row) != width for row in rows):
+        raise InvalidInputError(f"`{usage}`: row width must equal {width}")
+    return x, width, rows
+
+
+def reference_period(g: Multigraph, components: list[list[int]]) -> int:
+    """The gcd of the cycle lengths inside the given strongly connected
+    components, from a per-vertex level dict and a list of internal edges:
+    the reference for `graphs._period`, which works on level sets."""
+    overall = 0
+    saw_cycle = False
+    for comp in components:
+        members = set(comp)
+        internal = [(u, v) for u in comp for v in g.out_edges[u] if v in members]
+        if not internal:
+            continue
+        saw_cycle = True
+        root = comp[0]
+        level = {root: 0}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.out_edges[u]:
+                    if v in members and v not in level:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        for u, v in internal:
+            overall = math.gcd(overall, abs(level[u] + 1 - level[v]))
+    if not saw_cycle:
+        raise InvalidInputError("graph has no cycles; period undefined")
+    return overall
+
+
+def reference_is_aperiodic(g: Multigraph) -> bool:
+    return reference_period(g, strongly_connected_components(g)) == 1
+
+
+def reference_is_admissible(g: Multigraph) -> bool:
+    """Uniform positive out-degree, and among the Tarjan components exactly
+    one sink, which is aperiodic: the reference for `graphs.is_admissible`,
+    which splits only graphs that are not strongly connected."""
+    degrees = {len(ts) for ts in g.out_edges}
+    if len(degrees) != 1 or not degrees.pop():
+        return False
+    sinks = [c for c in strongly_connected_components(g)
+             if {u for v in c for u in g.out_edges[v]} <= set(c)]
+    return len(sinks) == 1 and reference_period(g, sinks) == 1
 
 
 def random_multigraph(rng: random.Random, t: int, d: int) -> Multigraph:

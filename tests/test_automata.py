@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,9 @@ from roadsync.graphs import parse_graph
 from roadsync.satreduce import parse_dimacs
 from roadsync.syncsolve import pin_bound, shortest_reset_word
 
-from support import random_dfa, reference_write_dfa
+from support import (
+    random_dfa, reference_content_lines, reference_table, reference_write_dfa,
+)
 
 
 def test_dfa_validation():
@@ -72,6 +75,82 @@ def test_parsers_refuse_tokens_outside_ascii_decimal(token):
             parse(text.format(token))
     with pytest.raises(InvalidInputError, match="expected integers"):
         word_from_str(f"0 {token}", 2)
+
+
+PARSERS = (parse_dfa, parse_graph, parse_batch)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_table_text(rng: random.Random) -> tuple:
+    """A parser and a text for it: a dfa, graph or batch table of up to 1,200
+    rows and width 1 to 4, laid out with comments, blank lines, tabs and runs
+    of spaces, and in about half the draws broken in one place."""
+    kind = rng.choice(PARSERS)
+    t = rng.randint(3, 5) if kind is parse_batch else rng.choice(
+        (1, 2, rng.randint(3, 24), rng.randint(25, 1200)))
+    width = rng.randint(1, 4)
+    if kind is parse_batch:
+        m = rng.randint(1, 4)
+        blocks = [(["batch", str(m), str(t)], [])]
+        blocks += [(["item", str(rng.randrange(4)), str(width)],
+                    [[str(rng.randrange(t)) for _ in range(width)] for _ in range(t)])
+                   for _ in range(m)]
+    else:
+        word = "dfa" if kind is parse_dfa else "graph"
+        blocks = [([word, str(t), str(width)],
+                   [[str(rng.randrange(t)) for _ in range(width)] for _ in range(t)])]
+    head, rows = rng.choice(blocks[1:] or blocks)
+    broken = rng.random() < 0.5
+    if broken:
+        fault = rng.randrange(5)
+        if fault == 0:
+            row = rng.choice(rows)
+            row[rng.randrange(width)] = rng.choice(("\u0663", "1_0", "+1", "-1", "x", "1.0"))
+        elif fault == 1:
+            rng.choice(rows).pop()
+        elif fault == 2:
+            rng.choice(rows).append("0")
+        elif fault == 3:
+            if rng.random() < 0.5:
+                rows.pop(rng.randrange(len(rows)))
+            else:
+                rows.insert(rng.randrange(len(rows) + 1), ["0"] * width)
+        else:
+            head[2] = "0"
+    lines = []
+    for head, rows in blocks:
+        for tokens in [head] + rows:
+            while rng.random() < 0.1:
+                lines.append(rng.choice(("", "   ", "# comment", "\t# 1_0 \u0663", "#")))
+            gap = rng.choice((" ", " ", " ", "  ", "\t", " \t ", "\u2003"))
+            lines.append(rng.choice(("", " ", "\t")) + gap.join(tokens) + rng.choice(("", "  ")))
+    return kind, "\n".join(lines) + rng.choice(("", "\n", "\n\n# end\n")), broken
+
+
+def test_parsers_match_the_row_by_row_reference(monkeypatch):
+    # parse_dfa, parse_graph and parse_batch read the whole body in one pass;
+    # with the row-by-row reference in its place each gives the same value,
+    # or the same exception type with the same message.
+    rng = random.Random(24)
+    broken = refused = 0
+    for _ in range(400):
+        parse, text, was_broken = _random_table_text(rng)
+        got = _outcome(parse, text)
+        with monkeypatch.context() as patch:
+            for module in {sys.modules[p.__module__] for p in PARSERS}:
+                patch.setattr(module, "_content_lines", reference_content_lines)
+                patch.setattr(module, "_table", reference_table)
+            want = _outcome(parse, text)
+        assert got == want, text
+        broken += was_broken
+        refused += isinstance(want, tuple) and want[0] is InvalidInputError
+    assert broken > 150 and refused > 120
 
 
 def test_apply_word_empty_is_identity():

@@ -1,5 +1,7 @@
+import importlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,17 @@ from roadsync.graphs import (
     make_graph,
     out_degree_uniform,
     parse_graph,
+    strongly_connected_components,
     to_dot,
     walk_layers,
     write_graph,
     write_graph_with_colors,
 )
 
-from support import enumerate_simple_cycle_lengths, random_multigraph
+from support import (
+    enumerate_simple_cycle_lengths, random_multigraph, reference_is_admissible,
+    reference_is_aperiodic,
+)
 
 
 def test_out_degree_uniform():
@@ -77,6 +83,87 @@ def test_strong_connectivity():
     assert is_strongly_connected(make_graph([(0,)])) is True
     assert is_strongly_connected(make_graph([(1,), (1,)])) is False
     assert is_strongly_connected(make_graph([(1,), (2,), (0,)])) is True
+
+
+def _verdicts(g: Multigraph, admissible, aperiodic) -> tuple:
+    try:
+        period = aperiodic(g)
+    except InvalidInputError as exc:
+        period = str(exc)
+    return admissible(g), period
+
+
+def _random_small_graph(rng: random.Random) -> Multigraph:
+    """t <= 12, out-degree <= 3: uniform random rows, periodic layouts (edges
+    from class c to class c + 1 mod p), several closed blocks (several sinks),
+    self-loop-heavy rows, or rows of mixed length."""
+    t = rng.randint(1, 12)
+    d = rng.randint(1, 3)
+    kind = rng.randrange(5)
+    if kind == 1:
+        p = rng.randint(2, 4)
+        cls = [rng.randrange(p) for _ in range(t)]
+        ahead = [[u for u in range(t) if cls[u] == (cls[v] + 1) % p] or [v] for v in range(t)]
+        rows = [[rng.choice(ahead[v]) for _ in range(d)] for v in range(t)]
+    elif kind == 2:
+        cuts = sorted(rng.sample(range(1, t), rng.randint(0, min(3, t - 1))))
+        blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [t])]
+        rows = [[rng.choice(block) for _ in range(d)] for block in blocks for _ in block]
+        for v in rng.sample(range(t), rng.randint(0, t // 3)):
+            rows[v][0] = rng.randrange(t)
+    elif kind == 3:
+        rows = [[v if rng.random() < 0.5 else rng.randrange(t) for _ in range(d)]
+                for v in range(t)]
+    else:
+        rows = [[rng.randrange(t) for _ in range(rng.randint(0, 3) if kind == 4 else d)]
+                for _ in range(t)]
+    return Multigraph(t, tuple(map(tuple, rows)))
+
+
+def test_admissibility_matches_the_tarjan_reference():
+    # is_admissible splits into components only the graphs two reaches from
+    # vertex 0 find not strongly connected, and takes periods from BFS level
+    # sets; the reference splits every graph and folds a per-vertex level
+    # dict.  Verdicts, refusals and their messages agree.
+    rng = random.Random(24)
+    kinds = dict.fromkeys(("admissible", "not strongly connected", "several sinks",
+                           "periodic", "acyclic", "one vertex"), 0)
+    for _ in range(3000):
+        g = _random_small_graph(rng)
+        want = _verdicts(g, reference_is_admissible, reference_is_aperiodic)
+        assert _verdicts(g, is_admissible, is_aperiodic) == want, g
+        components = strongly_connected_components(g)
+        assert is_strongly_connected(g) == (len(components) == 1)
+        sinks = [c for c in components if {u for v in c for u in g.out_edges[v]} <= set(c)]
+        kinds["admissible"] += want[0]
+        kinds["not strongly connected"] += len(components) > 1
+        kinds["several sinks"] += len(sinks) > 1
+        kinds["periodic"] += want[1] is False
+        kinds["acyclic"] += isinstance(want[1], str)
+        kinds["one vertex"] += g.t == 1
+    assert min(kinds.values()) > 40, kinds
+
+
+def test_admissibility_matches_the_reference_on_benchmark_graphs(monkeypatch):
+    # perfbench's random admissible graphs (a Hamiltonian cycle plus a random
+    # chord per vertex), at the sizes of the coloring workload, and each one
+    # with a vertex turned into a sink of self-loops: no longer strongly
+    # connected, and admissible iff that vertex is the only sink.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(24)
+    for t in (100, 200, 400, 800):
+        for _ in range(3):
+            rows = workloads.random_admissible(rng, t)
+            g = make_graph(rows)
+            assert is_admissible(g) and reference_is_admissible(g)
+            assert is_aperiodic(g) and reference_is_aperiodic(g)
+            v = rng.randrange(t)
+            rows[v] = (v, v)
+            g = make_graph(rows)
+            assert not is_strongly_connected(g)
+            assert _verdicts(g, is_admissible, is_aperiodic) == _verdicts(
+                g, reference_is_admissible, reference_is_aperiodic)
 
 
 def test_walk_layers_path():

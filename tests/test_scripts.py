@@ -18,7 +18,7 @@ def test_ab_groups_prints_groups_ranks_and_pass():
     src = str(ROOT / "src")
     proc = run_script("ab_groups.py", src, src, "--workload", "reset-compose", "--reps", "1")
     assert proc.returncode == 0, proc.stderr
-    header, columns, *lines = proc.stdout.splitlines()
+    header, columns, *lines, rss = proc.stdout.splitlines()
     n = int(re.match(r"# reset-compose seed 1: (\d+) queries, 1 reps", header).group(1))
     assert columns.split() == ["group", "queries", "parent", "ms", "change", "ms", "ratio"]
     *groups, p50, tail, total = [line.split() for line in lines]
@@ -29,6 +29,12 @@ def test_ab_groups_prints_groups_ranks_and_pass():
     for row in groups + [p50, tail, total]:
         parent, change, ratio = map(float, row[-3:])
         assert parent > 0 and change > 0 and ratio > 0
+    kib, parent_runs, change_runs, parent_mib, change_mib, delta = map(float, re.fullmatch(
+        r"# rss: one pass keeps ([\d.]+) KiB of outputs; over 55 s, about (\d+) -> (\d+) "
+        r"passes keep ([\d.]+) -> ([\d.]+) MiB \(([+-][\d.]+) MiB\)", rss).groups())
+    assert kib > 0 and parent_runs > 0 and change_runs > 0
+    assert abs(parent_mib - parent_runs * kib / 1024) < 0.01 * parent_mib + 0.01
+    assert abs(change_mib - parent_mib - delta) < 0.02
 
 
 def test_output_digest_is_repeatable():

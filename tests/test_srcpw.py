@@ -7,6 +7,7 @@ import pytest
 
 from roadsync import srcp, srcpw
 from roadsync.automata import apply_word
+from roadsync.cli import main
 from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.graphs import (
     Coloring,
@@ -16,6 +17,7 @@ from roadsync.graphs import (
     make_graph,
     parse_graph,
     walk_layers,
+    write_graph,
 )
 from roadsync.srcp import srcp_decide, srcp_exists_by_patterns, srcp_oracle
 from roadsync.srcpw import (
@@ -311,12 +313,14 @@ def _spy_everywhere(monkeypatch, fn, calls):
                     monkeypatch.setattr(module, attr, spy)
 
 
-def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
+def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch, tmp_path, capsys):
     # One search over the words aaa, aab, aba and abb, target by target:
     # each target walked once to depth 2, the choice lists built once per
-    # letter set, and no abb witness asked.  A target is searched, with every
-    # word in order, only if every vertex has a walk of exactly 3 edges to it
-    # (found here by walking forward); on the ring no target passes.
+    # letter set when the first target passes, and no abb witness asked.  A
+    # target is searched, with every word in order, only if every vertex has
+    # a walk of exactly 3 edges to it (found here by walking forward); on the
+    # ring no target passes, so no choice list is built, by `srcp k3` or by
+    # `srcpw decide`.
     searched, pairs, tables, walks, witnesses = [], [], [], [], []
     search, fixed_word_at = srcp.first_word_coloring, srcpw._fixed_word_at
 
@@ -351,8 +355,15 @@ def test_srcp_k3_decide_evaluates_each_class_once(monkeypatch):
         assert searched == [words]
         assert pairs == [(w, q) for q in passing for w in words]
         assert [(q, depth) for _, q, depth in walks] == [(q, 2) for q in range(g.t)]
-        assert len(tables) == 2 * g.t
+        assert len(tables) == (2 * g.t if passing else 0)
         assert witnesses == []
+    path = tmp_path / "ring.txt"
+    path.write_text(write_graph(ring))
+    for name in WORDS:
+        tables.clear()
+        assert main(["srcpw", "decide", "--word", name, "--in", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("NO")
+        assert tables == []
 
 
 def test_first_word_coloring_takes_the_least_target():
