@@ -4,16 +4,20 @@ Exit codes: 0 = decided/succeeded (answer on stdout), 1 = invalid input,
 2 = size limit exceeded.  `--json` switches to a single JSON object with the
 fields answer / witness_word / witness_coloring / report.
 
-Each action has its own parser, which accepts only the flags in its row of
-_ACTIONS, spelled in full; argparse dispatches to the action's handler.  The
-parser tree is built once, at import.
+A command line is `[--json] command action` and then the action's flags,
+each `--flag value` or `--flag=value`.  _ACTIONS names each action's handler
+and the flags it reads, spelled in full; _FLAGS gives each flag's dest, and
+whether it is required, an integer or has a default.  Anything else is a
+usage error: a `usage:` line and an `error:` line on stderr, exit 1.  `-h`
+or `--help` prints the usage on stdout instead, exit 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from . import satreduce
@@ -26,6 +30,7 @@ from .compose import (
     verify_c1_c2_c3,
 )
 from .automata import (
+    _ints,
     cerny_automaton,
     parse_dfa,
     word_from_str,
@@ -200,15 +205,16 @@ def _export_dot(args, out: _Output) -> None:
     out.answer("OK")
 
 
+# Integer flags (type int) take the token rule of the input files.
 _FLAGS = {
     "--in": {"dest": "infile", "required": True},
-    "--batch": {"required": True},
-    "--word": {"required": True},
+    "--batch": {"dest": "batch", "required": True},
+    "--word": {"dest": "word", "required": True},
     "--out": {"dest": "outfile"},
-    "--names": {},
-    "--k": {"type": int, "default": 0},
-    "--limit": {"type": int},
-    "--n": {"type": int, "default": 4},
+    "--names": {"dest": "names"},
+    "--k": {"dest": "k", "type": int, "default": 0},
+    "--limit": {"dest": "limit", "type": int},
+    "--n": {"dest": "n", "type": int, "default": 4},
 }
 
 # (command, action): (handler, the flags it reads)
@@ -227,35 +233,109 @@ _ACTIONS = {
     ("export", "dot"): (_export_dot, "--in", "--out"),
 }
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="roadsync", allow_abbrev=False)
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    commands = parser.add_subparsers(dest="command", required=True)
-    actions = {}
-    for (command, action), (handler, *flags) in _ACTIONS.items():
-        if command not in actions:
-            actions[command] = commands.add_parser(command).add_subparsers(
-                dest="action", required=True)
-        # No prefixes: --n must not stand for --names.
-        p = actions[command].add_parser(action, allow_abbrev=False)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(handler=handler)
-    return parser
+_COMMANDS = {command for command, _ in _ACTIONS}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-_PARSER = _build_parser()
+class _Usage(Exception):
+    """A command line outside the grammar; args are the command and action
+    read before it (a tuple) and the message, None for a request for help."""
+
+
+def _usage(path: tuple) -> str:
+    """One usage line per action under path, naming its flags."""
+    lines = []
+    for key, (_, *flags) in _ACTIONS.items():
+        if key[:len(path)] == path:
+            words = [f"{flag} {flag[2:].upper()}" if _FLAGS[flag].get("required")
+                     else f"[{flag} {flag[2:].upper()}]" for flag in flags]
+            lines.append(" ".join(["roadsync [--json]", *key, *words]))
+    return "usage: " + "\n       ".join(lines)
+
+
+def _is_flag(token: str, flags) -> bool:
+    """Whether token stands where a flag may stand, and so is no flag value:
+    it starts with "-", is not "-" alone, and names help or one of flags
+    (before any "="), or else is neither a negative number nor a token
+    that holds a space."""
+    if token[:1] != "-" or len(token) == 1:
+        return False
+    name = token.partition("=")[0]
+    return (name in flags or name in _HELP
+            or " " not in token and _NEGATIVE_NUMBER.match(token) is None)
+
+
+def _parse(argv: list[str]):
+    """The handler, the --json switch and the flag values (attributes named
+    by dest) of a command line, else _Usage.
+
+    A flag's value may not itself look like a flag (_is_flag), and a flag
+    given twice keeps its last value.  A flag without its value, a bad
+    integer, an unknown command or action is refused where it stands; help
+    is answered where it stands; unknown flags and stray words are refused
+    at the end, after any missing required flag."""
+    as_json, path, flags, values, strays = False, (), {}, {}, []
+    i, n = 0, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        name, eq, value = token.partition("=")
+        if name in flags:
+            if not eq:
+                if i == n or _is_flag(argv[i], flags):
+                    raise _Usage(path, f"argument {name}: expected one argument")
+                value = argv[i]
+                i += 1
+            spec = flags[name]
+            if "type" in spec:
+                try:
+                    value = _ints((value,), f"argument {name}")[0]
+                except InvalidInputError as exc:
+                    raise _Usage(path, str(exc)) from None
+            values[spec["dest"]] = value
+        elif name in _HELP or name == "--json" and not path:
+            if eq:
+                raise _Usage(path, f"argument {name}: ignored explicit argument {value!r}")
+            if name != "--json":
+                raise _Usage(path, None)
+            as_json = True
+        elif len(path) == 2 or _is_flag(token, flags):
+            strays.append(token)
+        elif path:
+            path += (token,)
+            if path not in _ACTIONS:
+                raise _Usage(path[:1], f"invalid action: {token!r}")
+            flags = {flag: _FLAGS[flag] for flag in _ACTIONS[path][1:]}
+            values = {spec["dest"]: spec.get("default") for spec in flags.values()}
+        elif token in _COMMANDS:
+            path = (token,)
+        else:
+            raise _Usage(path, f"invalid command: {token!r}")
+    if len(path) < 2:
+        raise _Usage(path, "expected an action" if path else "expected a command")
+    missing = [flag for flag, spec in flags.items()
+               if spec.get("required") and values[spec["dest"]] is None]
+    if missing:
+        raise _Usage(path, "missing required flags: " + ", ".join(missing))
+    if strays:
+        raise _Usage(path, "unrecognized arguments: " + " ".join(strays))
+    return _ACTIONS[path][0], as_json, SimpleNamespace(**values)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    out = _Output(args.json)
+        handler, as_json, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as exc:
+        path, message = exc.args
+        if message is None:
+            print(_usage(path))
+            return 0
+        print(_usage(path), f"error: {message}", sep="\n", file=sys.stderr)
+        return 1
+    out = _Output(as_json)
     try:
-        args.handler(args, out)
+        handler(args, out)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,9 @@ plain enumeration over words, colorings, and graphs.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import math
 import random
 from itertools import combinations_with_replacement, permutations, product
@@ -13,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from roadsync import cli
 from roadsync.automata import Dfa, _header, _ints, apply_word
 from roadsync.compose import pattern_functions, pattern_subset, pattern_width
 from roadsync.errors import InvalidInputError
@@ -33,6 +37,43 @@ def reference_write_dfa(a: Dfa) -> str:
     for row in a.delta:
         lines.append(" ".join(str(q) for q in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_parser(integer=int) -> argparse.ArgumentParser:
+    """The argparse tree that `cli._parse` replaced, built from the same
+    `cli._ACTIONS` and `cli._FLAGS`: its reference.  `integer` converts the
+    values of the integer flags (argparse's `type`)."""
+    parser = argparse.ArgumentParser(prog="roadsync", allow_abbrev=False)
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    commands = parser.add_subparsers(dest="command", required=True)
+    actions = {}
+    for (command, action), (handler, *flags) in cli._ACTIONS.items():
+        if command not in actions:
+            actions[command] = commands.add_parser(command).add_subparsers(
+                dest="action", required=True)
+        # No prefixes: --n must not stand for --names.
+        p = actions[command].add_parser(action, allow_abbrev=False)
+        for flag in flags:
+            spec = dict(cli._FLAGS[flag])
+            if "type" in spec:
+                spec["type"] = integer
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
+    return parser
+
+
+def reference_parse(parser: argparse.ArgumentParser, argv: list[str]):
+    """("help",), ("error",), or ("ok", handler, --json, {dest: value}) for
+    argv under an argparse tree from `reference_parser`."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return ("help",) if exc.code in (0, None) else ("error",)
+    fixed = ("json", "command", "action", "handler")
+    return ("ok", args["handler"], args["json"],
+            {dest: value for dest, value in args.items() if dest not in fixed})
 
 
 def reference_content_lines(text: str) -> list[str]:

@@ -1,7 +1,7 @@
 import ast
-import contextlib
-import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,7 +62,7 @@ def test_readme_names_every_cap_and_budget():
 
 def test_readme_command_lines_parse():
     # Every example of README's "Command line" block, comment removed, is
-    # accepted by the real parser.
+    # accepted by the real parse.
     readme = (SRC.parent.parent / "README.md").read_text()
     block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.S).group(1)
     lines = [line.split("#")[0].split() for line in block.splitlines()
@@ -71,11 +71,20 @@ def test_readme_command_lines_parse():
     refused = []
     for argv in lines:
         try:
-            with contextlib.redirect_stderr(io.StringIO()):
-                cli._PARSER.parse_args(argv[1:])
-        except SystemExit:
+            cli._parse(argv[1:])
+        except cli._Usage:
             refused.append(" ".join(argv))
     assert refused == []
+
+
+def test_cli_import_leaves_argparse_out():
+    # The command line is parsed from cli._ACTIONS alone; building an
+    # argparse tree at import was most of the module's own import time.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, roadsync.cli; print(sorted(m for m in sys.modules if 'argparse' in m))"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_every_definition_is_referenced():
