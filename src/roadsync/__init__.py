@@ -31,7 +31,6 @@ from .graphs import (
     is_aperiodic,
     is_strongly_connected,
     make_graph,
-    out_degree_uniform,
     parse_graph,
     to_dot,
     walk_layers,

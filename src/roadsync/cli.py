@@ -4,18 +4,18 @@ Exit codes: 0 = decided/succeeded (answer on stdout), 1 = invalid input,
 2 = size limit exceeded.  `--json` switches to a single JSON object with the
 fields answer / witness_word / witness_coloring / report.
 
-A command line is `[--json] command action` and then the action's flags,
-each `--flag value` or `--flag=value`.  _ACTIONS names each action's handler
-and the flags it reads, spelled in full; _FLAGS gives each flag's dest, and
-whether it is required, an integer or has a default.  Anything else is a
-usage error: a `usage:` line and an `error:` line on stderr, exit 1.  `-h`
-or `--help` prints the usage on stdout instead, exit 0.
+A command line is any number of `--json` tokens, `command action`, and then
+the action's flags, each `--flag=value` or `--flag` and the next token as its
+value.  _ACTIONS names each action's handler and the flags it reads, spelled
+in full; _FLAGS gives each flag's dest, and whether it is required, an
+integer or has a default.  The first token outside this grammar is a usage
+error: a `usage:` line and an `error:` line on stderr, exit 1.  The first
+`-h` or `--help` prints the usage on stdout instead, exit 0.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from types import SimpleNamespace
 from typing import Optional
@@ -235,7 +235,6 @@ _ACTIONS = {
 
 _COMMANDS = {command for command, _ in _ACTIONS}
 _HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 class _Usage(Exception):
@@ -254,72 +253,54 @@ def _usage(path: tuple) -> str:
     return "usage: " + "\n       ".join(lines)
 
 
-def _is_flag(token: str, flags) -> bool:
-    """Whether token stands where a flag may stand, and so is no flag value:
-    it starts with "-", is not "-" alone, and names help or one of flags
-    (before any "="), or else is neither a negative number nor a token
-    that holds a space."""
-    if token[:1] != "-" or len(token) == 1:
-        return False
-    name = token.partition("=")[0]
-    return (name in flags or name in _HELP
-            or " " not in token and _NEGATIVE_NUMBER.match(token) is None)
-
-
 def _parse(argv: list[str]):
     """The handler, the --json switch and the flag values (attributes named
     by dest) of a command line, else _Usage.
 
-    A flag's value may not itself look like a flag (_is_flag), and a flag
-    given twice keeps its last value.  A flag without its value, a bad
-    integer, an unknown command or action is refused where it stands; help
-    is answered where it stands; unknown flags and stray words are refused
-    at the end, after any missing required flag."""
-    as_json, path, flags, values, strays = False, (), {}, {}, []
-    i, n = 0, len(argv)
-    while i < n:
-        token = argv[i]
-        i += 1
-        name, eq, value = token.partition("=")
-        if name in flags:
-            if not eq:
-                if i == n or _is_flag(argv[i], flags):
-                    raise _Usage(path, f"argument {name}: expected one argument")
-                value = argv[i]
-                i += 1
-            spec = flags[name]
-            if "type" in spec:
-                try:
-                    value = _ints((value,), f"argument {name}")[0]
-                except InvalidInputError as exc:
-                    raise _Usage(path, str(exc)) from None
-            values[spec["dest"]] = value
-        elif name in _HELP or name == "--json" and not path:
-            if eq:
-                raise _Usage(path, f"argument {name}: ignored explicit argument {value!r}")
-            if name != "--json":
-                raise _Usage(path, None)
+    Leading --json tokens, then the command and the action.  Then each
+    token is `--flag=value`, or `--flag` and the next token, whatever it
+    is, as its value; a flag given twice keeps its last value.  The first
+    -h/--help is answered and the first token outside this grammar refused
+    where it stands; missing required flags are refused after the last."""
+    tokens = iter(argv)
+    as_json, path = False, ()
+    for token in tokens:
+        if token in _HELP:
+            raise _Usage(path, None)
+        if token == "--json" and not path:
             as_json = True
-        elif len(path) == 2 or _is_flag(token, flags):
-            strays.append(token)
-        elif path:
-            path += (token,)
-            if path not in _ACTIONS:
-                raise _Usage(path[:1], f"invalid action: {token!r}")
-            flags = {flag: _FLAGS[flag] for flag in _ACTIONS[path][1:]}
-            values = {spec["dest"]: spec.get("default") for spec in flags.values()}
-        elif token in _COMMANDS:
+        elif not path and token in _COMMANDS:
             path = (token,)
+        elif path and (*path, token) in _ACTIONS:
+            path += (token,)
+            break
         else:
-            raise _Usage(path, f"invalid command: {token!r}")
-    if len(path) < 2:
+            raise _Usage(path, f"invalid {'action' if path else 'command'}: {token!r}")
+    else:
         raise _Usage(path, "expected an action" if path else "expected a command")
+    flags = {flag: _FLAGS[flag] for flag in _ACTIONS[path][1:]}
+    values = {spec["dest"]: spec.get("default") for spec in flags.values()}
+    for token in tokens:
+        if token in _HELP:
+            raise _Usage(path, None)
+        name, eq, value = token.partition("=")
+        if name not in flags:
+            raise _Usage(path, f"unrecognized argument: {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _Usage(path, f"argument {name}: expected one argument")
+        spec = flags[name]
+        if "type" in spec:
+            try:
+                value = _ints((value,), f"argument {name}")[0]
+            except InvalidInputError as exc:
+                raise _Usage(path, str(exc)) from None
+        values[spec["dest"]] = value
     missing = [flag for flag, spec in flags.items()
                if spec.get("required") and values[spec["dest"]] is None]
     if missing:
         raise _Usage(path, "missing required flags: " + ", ".join(missing))
-    if strays:
-        raise _Usage(path, "unrecognized arguments: " + " ".join(strays))
     return _ACTIONS[path][0], as_json, SimpleNamespace(**values)
 
 

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import chain, permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .automata import Dfa, LETTER_CHARS, _bad_target, _content_lines, _table
+from .automata import Dfa, _bad_target, _content_lines, _table, word_to_str
 from .errors import InvalidInputError
 
 
@@ -59,10 +59,6 @@ class Coloring:
 
 def make_graph(out_edges: Sequence[Sequence[int]]) -> Multigraph:
     return Multigraph(len(out_edges), tuple(tuple(ts) for ts in out_edges))
-
-
-def out_degree_uniform(g: Multigraph) -> Optional[int]:
-    return g.out_degree
 
 
 def strongly_connected_components(g: Multigraph) -> list[list[int]]:
@@ -168,7 +164,7 @@ def is_admissible(g: Multigraph) -> bool:
     road coloring theorem synchronizes the sink, which every state reaches.
     A strongly connected graph is its own sink: the forward BFS that finds it
     so also gives its period, and only other graphs are split into components."""
-    if not out_degree_uniform(g):
+    if not g.out_degree:
         return False
     reached, period = _levels(g.out_edges, 0)
     if reached == g.t and _levels(g.predecessors, 0)[0] == g.t:
@@ -191,7 +187,7 @@ def walk_layers(g: Multigraph, q: int, depth: int) -> list[frozenset[int]]:
 
 def apply_coloring(g: Multigraph, c: Coloring) -> Dfa:
     """Turn g into a DFA: delta(v, letter) follows the slot carrying that letter."""
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("coloring needs uniform out-degree")
     if len(c.slot_letters) != g.t:
@@ -209,7 +205,7 @@ def apply_coloring(g: Multigraph, c: Coloring) -> Dfa:
 
 
 def coloring_count(g: Multigraph) -> int:
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("coloring count needs uniform out-degree")
     return math.factorial(d) ** g.t
@@ -222,7 +218,7 @@ def coloring_from_index(g: Multigraph, index: int) -> Coloring:
     digit), with per-vertex permutations ranked lexicographically; this makes
     the stream reproducible from an index for partitioned enumeration.
     """
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("coloring needs uniform out-degree")
     total = coloring_count(g)
@@ -240,7 +236,7 @@ def coloring_from_index(g: Multigraph, index: int) -> Coloring:
 
 def enumerate_colorings(g: Multigraph) -> Iterator[Coloring]:
     """All per-vertex slot->letter bijections, in the documented index order."""
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("coloring needs uniform out-degree")
     yield from map(Coloring, product(permutations(range(d)), repeat=g.t))
@@ -253,7 +249,7 @@ def parse_graph(text: str) -> Multigraph:
 
 
 def write_graph(g: Multigraph) -> str:
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("graph text format needs uniform out-degree")
     lines = [f"graph {g.t} {d}"]
@@ -264,14 +260,20 @@ def write_graph(g: Multigraph) -> str:
 
 def write_graph_with_colors(g: Multigraph, c: Coloring) -> str:
     """Graph format followed by a parallel per-slot letter table."""
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("graph text format needs uniform out-degree")
-    text = write_graph(g)
+    names = _letter_names(d)
     lines = ["colors"]
-    for v in range(g.t):
-        lines.append(" ".join(LETTER_CHARS[c.slot_letters[v][s]] for s in range(d)))
-    return text + "\n".join(lines) + "\n"
+    for row in c.slot_letters:
+        lines.append(" ".join([names[letter] for letter in row]))
+    return write_graph(g) + "\n".join(lines) + "\n"
+
+
+def _letter_names(d: int) -> list[str]:
+    """Each letter below d as word_to_str renders it: a..z when there are at
+    most 26, else integers."""
+    return [word_to_str((letter,), d) for letter in range(d)]
 
 
 def to_dot(g: Multigraph, coloring: Optional[Coloring] = None) -> str:
@@ -279,12 +281,12 @@ def to_dot(g: Multigraph, coloring: Optional[Coloring] = None) -> str:
     out = ["digraph g {"]
     for v in range(g.t):
         out.append(f'  n{v} [label="{v}"];')
-    for v in range(g.t):
-        for slot, w in enumerate(g.out_edges[v]):
-            if coloring is not None:
-                letter = coloring.slot_letters[v][slot]
-                out.append(f'  n{v} -> n{w} [label="{LETTER_CHARS[letter]}"];')
-            else:
-                out.append(f"  n{v} -> n{w};")
+    for v, targets in enumerate(g.out_edges):
+        if coloring is None:
+            out.extend(f"  n{v} -> n{w};" for w in targets)
+        else:
+            names = _letter_names(len(targets))
+            out.extend(f'  n{v} -> n{w} [label="{names[letter]}"];'
+                       for w, letter in zip(targets, coloring.slot_letters[v]))
     out.append("}")
     return "\n".join(out) + "\n"

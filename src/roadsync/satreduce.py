@@ -39,7 +39,6 @@ from .graphs import (
     Multigraph,
     apply_coloring,
     is_strongly_connected,
-    out_degree_uniform,
 )
 from .srcp import srcp_oracle
 
@@ -333,7 +332,7 @@ def verify_reduction(f: Cnf3) -> ReductionReport:
         srcp_yes=witness is not None,
         equivalent=(assignment is None) == (witness is None),
         size_ok=rg.graph.t == 5 * rg.m + 3 * rg.n + 8,
-        degree_ok=out_degree_uniform(rg.graph) == 2,
+        degree_ok=rg.graph.out_degree == 2,
         strongly_connected=is_strongly_connected(rg.graph),
         witness_checked=witness_checked,
     )

@@ -37,7 +37,6 @@ from .graphs import (
     enumerate_colorings,
     is_admissible,
     is_aperiodic,
-    out_degree_uniform,
 )
 from .srcpw import SEARCH_NODE_BUDGET, first_word_coloring
 from .syncsolve import pin_bound, shortest_reset_word
@@ -128,7 +127,7 @@ def sweep_sync_indices(g: Multigraph, k: int) -> Iterator[int]:
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d != 2:
         raise InvalidInputError("sweep_sync_indices needs out-degree 2")
     if k > _SWEEP_WORD_DEPTH_CAP:
@@ -169,7 +168,7 @@ def srcp_oracle(g: Multigraph, k: int,
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("srcp_oracle needs uniform out-degree")
     sweep = fast and d == 2 and k <= _SWEEP_WORD_DEPTH_CAP
@@ -227,7 +226,7 @@ class KernelResult:
     graph: Multigraph
     k: int
     trivially_yes: bool
-    aperiodicity_preserved: Optional[bool]
+    aperiodicity_preserved: bool
 
 
 def kernelize(g: Multigraph, k: int) -> KernelResult:
@@ -241,12 +240,13 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
     holds; it keeps the lowest slots of each target.  One count and one heap
     per vertex, so the work is O(d log t) per vertex.  The vertex set never
     changes.  With at least t edges left no vertex loses a target, so the
-    kernel stays admissible; the floor t binds only at t = 2, where
-    t*(pin_bound(t)-1) = 0 and k = 0 is a no at every out-degree.
+    kernel keeps the input's cycles: it stays admissible and aperiodic.  The
+    floor t binds only at t = 2, where t*(pin_bound(t)-1) = 0 and k = 0 is a
+    no at every out-degree.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None or not is_admissible(g):
         raise InvalidInputError("kernelize is defined on admissible graphs")
     z = pin_bound(g.t)
@@ -275,12 +275,7 @@ def kernelize(g: Multigraph, k: int) -> KernelResult:
                 row.append(u)
         edges.append(tuple(row))
     result = Multigraph(g.t, tuple(edges))
-    preserved: Optional[bool]
-    try:
-        preserved = is_aperiodic(result)
-    except InvalidInputError:
-        preserved = None
-    return KernelResult(result, k, False, preserved)
+    return KernelResult(result, k, False, is_aperiodic(result))
 
 
 def pattern_words(k: int, d: int) -> Iterator[Word]:
@@ -315,7 +310,7 @@ def srcp_exists_by_patterns(g: Multigraph, k: int) -> bool:
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("needs uniform out-degree")
     most = SEARCH_NODE_BUDGET // g.t

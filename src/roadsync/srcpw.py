@@ -38,7 +38,6 @@ from .graphs import (
     Coloring,
     Multigraph,
     apply_coloring,
-    out_degree_uniform,
     walk_layers,
 )
 
@@ -48,7 +47,7 @@ SEARCH_NODE_BUDGET = 100_000
 
 
 def _require_outdeg2(g: Multigraph) -> None:
-    if out_degree_uniform(g) != 2:
+    if g.out_degree != 2:
         raise InvalidInputError("fixed-word machinery needs out-degree 2")
 
 
@@ -89,7 +88,7 @@ def first_word_coloring(g: Multigraph, words: Iterable[Sequence[int]]) -> Option
     of `srcp.pattern_words(k, d)`; `srcp.srcp_exists_by_patterns` decides it
     so.
     """
-    d = out_degree_uniform(g)
+    d = g.out_degree
     if d is None:
         raise InvalidInputError("fixed-word search needs uniform out-degree")
     words = [tuple(w) for w in words]

@@ -30,7 +30,6 @@ from roadsync.graphs import (
     is_admissible,
     is_strongly_connected,
     make_graph,
-    out_degree_uniform,
 )
 from roadsync.satreduce import (
     RESET_WORD,
@@ -254,7 +253,7 @@ def test_criterion_7_kernel_soundness():
     for _ in range(50):
         g = _random_admissible(rng, 3, 12)
         res = kernelize(g, 3)
-        ok = ok and out_degree_uniform(res.graph) == 9
+        ok = ok and res.graph.out_degree == 9
         ok = ok and srcp_exists_by_patterns(g, 3) == srcp_exists_by_patterns(res.graph, 3)
         reduced_cases += 1
     report("7 (kernel soundness)", ok,
@@ -417,7 +416,7 @@ def test_criterion_10_sat_reduction():
     ))
     rg = build_reduction(augment_tautologies(fig))
     ok = ok and rg.graph.t == 35
-    ok = ok and out_degree_uniform(rg.graph) == 2
+    ok = ok and rg.graph.out_degree == 2
     ok = ok and is_strongly_connected(rg.graph)
     coloring = extract_coloring(rg, (True, False, False, True))
     dfa = apply_coloring(rg.graph, coloring)

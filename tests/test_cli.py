@@ -579,8 +579,9 @@ _FUZZ_SEEDS = {
     ("srcp", "decide", "--in"):
         write_graph(make_graph([(0, 1), (2, 0), (1, 1)])),
     ("srcp", "k3", "--in"): write_graph(make_graph([(1, 1, 2), (2, 2, 0), (0, 0, 1)])),
+    # Out-degree 27 renders its witness's slot letters as integers.
     ("srcpw", "decide", "--word", "aba", "--in"):
-        write_graph(make_graph([(1, 2), (2, 0), (0, 0)])),
+        (write_graph(make_graph([(1, 2), (2, 0), (0, 0)])), write_graph(make_graph([[0] * 27]))),
     ("gen", "compose", "--batch"):
         write_batch([(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3),
                      (Dfa(3, 2, ((0, 1), (0, 2), (1, 2))), 1)], 3),
@@ -692,6 +693,12 @@ _ARGV_VALUES = ("x.txt", "aba", "3", "0", "-4", "-1.5", "4.0", " 7", "+2", "",
 _ARGV_EXTRAS = ("--json", "-h", "--help", "--bogus", "--json=1", "--help=", "x")
 
 
+def _required_tokens(key):
+    """The required flags of an action, each with a value."""
+    return [token for flag in cli._ACTIONS[key][1:] if cli._FLAGS[flag].get("required")
+            for token in (flag, "aba" if flag == "--word" else "x.txt")]
+
+
 @st.composite
 def _command_line(draw):
     command, action = draw(st.sampled_from(sorted(cli._ACTIONS)))
@@ -702,11 +709,10 @@ def _command_line(draw):
         argv.insert(0, draw(st.sampled_from(_ARGV_EXTRAS)))
     argv += draw(st.sampled_from([[command, action]] * 6 + [[command], [command, "bogus"],
                                                             ["bogus", action], []]))
+    if draw(st.integers(0, 3)):
+        argv += _required_tokens((command, action))
     if len(argv) >= 2 and draw(st.integers(0, 4)) == 0:
         argv.insert(draw(st.integers(1, len(argv) - 1)), draw(st.sampled_from(_ARGV_EXTRAS)))
-    if draw(st.integers(0, 3)):
-        argv += [token for flag in own if cli._FLAGS[flag].get("required")
-                 for token in (flag, "aba" if flag == "--word" else "x.txt")]
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.integers(0, 9))
         flag = draw(st.sampled_from(own if kind < 6 else sorted(cli._FLAGS)))
@@ -723,16 +729,58 @@ _REFERENCE = reference_parser()
 _REFERENCE_FILE_RULE = reference_parser(lambda value: _ints((value,), "flag")[0])
 
 
+def _value_after_bare_flag(argv):
+    """Cause (a): a token that starts with "-" right after a bare flag.  The
+    parse reads it as the flag's value; argparse refused it as a value."""
+    return any(flag in cli._FLAGS and value[:1] == "-" for flag, value in zip(argv, argv[1:]))
+
+
+# The tails that end a command line with an action: the command, the action
+# and its required flags, or a suffix of these.
+_TAILS = [tail for key in cli._ACTIONS for required in [_required_tokens(key)]
+          for tail in ([*key, *required], [key[1], *required], required)]
+
+
+def _refused_before_help(argv, reference):
+    """Cause (b): argparse answers a later -h/--help, but no command line
+    that starts with the tokens before the first one is accepted by it, so
+    one of them is outside the grammar."""
+    if reference != ("help",):
+        return False
+    head = argv[:min(argv.index(token) for token in cli._HELP if token in argv)]
+    return all(reference_parse(_REFERENCE_FILE_RULE, head + tail)[0] != "ok" for tail in _TAILS)
+
+
 @settings(max_examples=1500, deadline=None)
 @given(_command_line())
 def test_parse_matches_the_argparse_reference(argv):
-    # Accept or reject, help, the handler, --json and every flag value agree
-    # with the argparse tree the parse replaced, but for the integer rule:
-    # int() also reads "٣" and "1_0", which the integer flags refuse.
-    new = _outcome(argv)
-    assert new == reference_parse(_REFERENCE_FILE_RULE, argv), argv
-    if new != reference_parse(_REFERENCE, argv):
+    # Wherever the argparse tree the parse replaced accepts, the parse gives
+    # the same handler, --json and values.  Every other difference has cause
+    # (a) or (b), each read off argv and the reference alone.  The integer
+    # flags take the file token rule: int() also reads "٣" and "1_0".
+    new, old = _outcome(argv), reference_parse(_REFERENCE_FILE_RULE, argv)
+    if old[0] == "ok":
+        assert new == old, argv
+    elif new != old:
+        assert _value_after_bare_flag(argv) or _refused_before_help(argv, old), (argv, new, old)
+    if old != reference_parse(_REFERENCE, argv):
         assert any(not token.isascii() or "_" in token for token in argv), argv
+
+
+def test_a_value_is_the_next_token_whatever_it_is(tmp_path, capsys, monkeypatch):
+    # Cause (a): argparse refused both values, as they look like flags.
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text(write_graph(make_graph([(0, 1), (2, 0), (1, 1)])))
+    assert run(capsys, "export", "dot", "--in", "g.txt", "--out", "-g.dot") == (0, "OK\n", "")
+    assert Path("-g.dot").read_text().startswith("digraph")
+    assert run(capsys, "srcpw", "decide", "--word", "-h", "--in", "g.txt") == (
+        1, "", "error: word '-h': letters must be a..z\n")
+
+
+def test_the_first_token_outside_the_grammar_is_refused_where_it_stands(capsys):
+    # Cause (b): argparse put --bogus aside and answered the later -h.
+    _assert_usage_error(*run(capsys, "sync", "check", "--bogus", "-h"))
+    assert reference_parse(_REFERENCE, ["sync", "check", "--bogus", "-h"]) == ("help",)
 
 
 def test_integer_flags_follow_the_file_token_rule(tmp_path, capsys):
@@ -788,9 +836,10 @@ def _required_argv(tmp_path):
 
 def test_json_before_the_command_for_every_action(tmp_path, capsys):
     for (command, action), argv in _required_argv(tmp_path).items():
-        code, out, err = run(capsys, "--json", command, action, *argv)
-        assert (code, err) == (0, ""), (command, action)
-        assert set(json.loads(out)) == {"answer", "witness_word", "witness_coloring", "report"}
+        for switches in (["--json"], ["--json", "--json"]):
+            code, out, err = run(capsys, *switches, command, action, *argv)
+            assert (code, err) == (0, ""), (command, action)
+            assert set(json.loads(out)) == {"answer", "witness_word", "witness_coloring", "report"}
 
 
 def test_flags_of_other_actions_are_usage_errors(tmp_path, capsys, monkeypatch):

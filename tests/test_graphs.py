@@ -19,7 +19,6 @@ from roadsync.graphs import (
     is_aperiodic,
     is_strongly_connected,
     make_graph,
-    out_degree_uniform,
     parse_graph,
     strongly_connected_components,
     to_dot,
@@ -35,9 +34,9 @@ from support import (
 
 
 def test_out_degree_uniform():
-    assert out_degree_uniform(make_graph([(0, 0)])) == 2
-    assert out_degree_uniform(make_graph([(1,), (0, 1)])) is None
-    assert out_degree_uniform(make_graph([(1, 1), (0, 0)])) == 2
+    assert make_graph([(0, 0)]).out_degree == 2
+    assert make_graph([(1,), (0, 1)]).out_degree is None
+    assert make_graph([(1, 1), (0, 0)]).out_degree == 2
 
 
 def test_aperiodicity_basics():
@@ -296,6 +295,12 @@ def test_graph_with_colors_and_dot():
     g = make_graph([(1, 0), (0, 1)])
     c = Coloring(((0, 1), (1, 0)))
     text = write_graph_with_colors(g, c)
-    assert "colors" in text and "a b" in text and "b a" in text
+    assert text.endswith("colors\na b\nb a\n")
     dot = to_dot(g, c)
-    assert 'label="a"' in dot and dot.startswith("digraph")
+    assert '  n0 -> n1 [label="a"];' in dot and dot.startswith("digraph")
+    # Past 26 letters, slot letters are integers, as word_to_str renders them.
+    g = make_graph([[0] * 27])
+    c = Coloring((tuple(range(26, -1, -1)),))
+    assert write_graph_with_colors(g, c).endswith(
+        "colors\n" + " ".join(map(str, range(26, -1, -1))) + "\n")
+    assert '  n0 -> n0 [label="26"];' in to_dot(g, c)

@@ -13,7 +13,6 @@ from roadsync.graphs import (
     coloring_from_index,
     is_admissible,
     is_strongly_connected,
-    out_degree_uniform,
 )
 from roadsync.satreduce import (
     RESET_WORD,
@@ -120,7 +119,7 @@ def test_structure_counts():
         aug = augment_tautologies(f)
         rg = build_reduction(aug)
         assert rg.graph.t == 5 * aug.m + 3 * f.n + 8
-        assert out_degree_uniform(rg.graph) == 2
+        assert rg.graph.out_degree == 2
         assert is_strongly_connected(rg.graph)
         assert is_admissible(rg.graph)
         # exactly three formula-dependent edges per clause, all at literals

@@ -15,7 +15,6 @@ from roadsync.graphs import (
     is_admissible,
     is_strongly_connected,
     make_graph,
-    out_degree_uniform,
     parse_graph,
 )
 from roadsync.srcp import (
@@ -238,7 +237,7 @@ def test_kernelize_trivial_branch():
     res = kernelize(g, pin_bound(2))
     assert res.trivially_yes
     assert res.graph.t == 1 and res.k == 0
-    assert out_degree_uniform(res.graph) == 2
+    assert res.graph.out_degree == 2
     assert srcp_decide(res.graph, res.k) is True
 
 
@@ -258,7 +257,7 @@ def test_kernelize_degenerate_two_states():
         for _ in range(20):
             g = admissible_random(rng, 2, d)
             res = kernelize(g, 0)
-            assert out_degree_uniform(res.graph) == min(d, 2)
+            assert res.graph.out_degree == min(d, 2)
             assert [set(ts) for ts in res.graph.out_edges] == [set(ts) for ts in g.out_edges]
             assert is_admissible(res.graph) and res.aperiodicity_preserved is True
             assert srcp_decide(res.graph, 0) is False
@@ -270,7 +269,7 @@ def test_kernelize_reduces_degree_to_threshold():
     for _ in range(10):
         g = admissible_random(rng, 3, 12)
         res = kernelize(g, 3)
-        assert out_degree_uniform(res.graph) == 9
+        assert res.graph.out_degree == 9
         assert res.graph.t == g.t
         assert res.k == 3
         # deletion only removes edges: multiset inclusion per vertex
@@ -301,7 +300,7 @@ def test_kernelize_matches_passwise_reference():
             continue
         res = kernelize(g, k)
         assert res.graph == passwise_kernel_graph(g), (g.out_edges, k)
-        assert out_degree_uniform(res.graph) == threshold
+        assert res.graph.out_degree == threshold
         checked += 1
 
 
@@ -355,7 +354,7 @@ def test_pattern_decision_matches_oracle():
     graphs += [g for g in (_ring(t, rng) for t in (4, 5, 5, 5)) if is_admissible(g)]
     answers = set()
     for g in graphs:
-        d = out_degree_uniform(g)
+        d = g.out_degree
         slow = True
         for k in reversed(range({2: 7, 3: 5}.get(d, 4))):
             # A NO at k is a NO at every smaller k.
