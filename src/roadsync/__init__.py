@@ -59,10 +59,7 @@ from .compose import (
     BatchItem,
     ComposedAutomaton,
     CompositionBatch,
-    big_m_branch,
     compose,
-    compose_or_decide,
-    decide_early,
     pattern_functions,
     pattern_subset,
     pattern_width,

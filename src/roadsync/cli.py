@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from types import SimpleNamespace
 from typing import Optional
 
 from . import satreduce
 from .compose import (
     compose as compose_batch,
-    compose_or_decide,
-    decide_early,
     names_json as compose_names_json,
     parse_batch,
+    preprocess,
     verify_c1_c2_c3,
 )
 from .automata import (
@@ -150,14 +150,15 @@ def _gen_cerny(args, out: _Output) -> None:
 
 
 def _gen_compose(args, out: _Output) -> None:
-    result = compose_or_decide(*parse_batch(_read(args.batch)))
-    if isinstance(result, bool):
-        out.answer(result)
+    pre = preprocess(*parse_batch(_read(args.batch)))
+    if pre.batch is None:
+        out.answer(pre.answer)
         return
-    out.text(write_dfa(result.dfa), args.outfile)
+    composed = compose_batch(pre.batch)
+    out.text(write_dfa(composed.dfa), args.outfile)
     if args.names:
-        _write(args.names, json.dumps(compose_names_json(result), indent=2))
-    out.answer(result.dfa.t)
+        _write(args.names, json.dumps(compose_names_json(composed), indent=2))
+    out.answer(composed.dfa.t)
 
 
 def _gen_sat_reduce(args, out: _Output) -> None:
@@ -170,34 +171,20 @@ def _gen_sat_reduce(args, out: _Output) -> None:
 
 
 def _verify_compose(args, out: _Output) -> None:
-    pre = decide_early(*parse_batch(_read(args.batch)))
+    pre = preprocess(*parse_batch(_read(args.batch)))
     if pre.batch is None:
         out.answer(pre.answer)
         out.report({"short_circuit": True})
         return
     report = verify_c1_c2_c3(compose_batch(pre.batch), pre.batch)
     out.answer(report.all_pass)
-    out.report({
-        "c1_no_short_reset": report.c1_no_short_reset,
-        "c2_all_shaped": report.c2_all_shaped,
-        "c3_assembled_words_reset": report.c3_assembled_words_reset,
-        "reset_word_count": report.reset_word_count,
-        "assembled_count": report.assembled_count,
-    })
+    out.report(asdict(report))
 
 
 def _verify_sat_reduce(args, out: _Output) -> None:
     report = satreduce.verify_reduction(satreduce.parse_dimacs(_read(args.infile)))
     out.answer(report.ok)
-    out.report({
-        "satisfiable": report.satisfiable,
-        "srcp_yes": report.srcp_yes,
-        "equivalent": report.equivalent,
-        "size_ok": report.size_ok,
-        "degree_ok": report.degree_ok,
-        "strongly_connected": report.strongly_connected,
-        "witness_checked": report.witness_checked,
-    })
+    out.report(asdict(report))
 
 
 def _export_dot(args, out: _Output) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -78,11 +78,13 @@ def add_identity_letter(a: Dfa) -> Dfa:
 
 
 def preprocess(raw: Sequence[tuple[Dfa, int]], t: int) -> PreprocessResult:
-    """Resolve large budgets polynomially, then add kappa to the survivors.
+    """The two early exits of the composition, else the batch to compose.
 
     An item with d_i >= z(t) is decided by the synchronizability test alone:
     a yes short-circuits the whole batch, a no deletes the item.  An empty
-    remainder short-circuits to false.
+    remainder short-circuits to false.  When m >= 2^t items remain, each is
+    decided on its own and the answer is their disjunction.  The survivors
+    get kappa as letter 0.
     """
     z = pin_bound(t)
     kept: list[BatchItem] = []
@@ -98,14 +100,9 @@ def preprocess(raw: Sequence[tuple[Dfa, int]], t: int) -> PreprocessResult:
         kept.append(BatchItem(add_identity_letter(dfa), d))
     if not kept:
         return PreprocessResult(False, None)
+    if len(kept) >= 2 ** t:
+        return PreprocessResult(any(syn_decide(item.dfa, item.d) for item in kept), None)
     return PreprocessResult(None, CompositionBatch(t, tuple(kept)))
-
-
-def big_m_branch(batch: CompositionBatch) -> Optional[bool]:
-    """For m >= 2^t, decide every item directly and return the disjunction."""
-    if batch.m < 2 ** batch.t:
-        return None
-    return any(syn_decide(item.dfa, item.d) for item in batch.items)
 
 
 def pattern_width(m: int) -> int:
@@ -214,7 +211,7 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
     """
     t, m = batch.t, batch.m
     if m >= 2 ** t:
-        raise InvalidInputError("compose needs m < 2^t; use big_m_branch instead")
+        raise InvalidInputError("compose needs m < 2^t; preprocess decides the rest")
     z = pin_bound(t)
     q = pattern_width(m)
 
@@ -290,19 +287,6 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
     )
 
 
-def decide_early(raw: Sequence[tuple[Dfa, int]], t: int) -> PreprocessResult:
-    """Preprocess, then the big-m shortcut: the answer if either decides, else the batch."""
-    pre = preprocess(raw, t)
-    early = None if pre.batch is None else big_m_branch(pre.batch)
-    return pre if early is None else PreprocessResult(early, None)
-
-
-def compose_or_decide(raw: Sequence[tuple[Dfa, int]], t: int):
-    """Full pipeline: the early exits of `decide_early`, else compose."""
-    pre = decide_early(raw, t)
-    return pre.answer if pre.batch is None else compose(pre.batch)
-
-
 @dataclass(frozen=True)
 class C123Report:
     c1_no_short_reset: bool
@@ -352,7 +336,7 @@ def _to_item_letter(composed: ComposedAutomaton, i: int, letter: int) -> int:
 
 
 def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
-    """Every word of the given length (>= 1) that resets dfa, in product order.
+    """Every word of the given length that resets dfa, in product order.
 
     The resetting suffixes of a prefix depend only on its depth and its
     image, so each image reached at a depth is stepped once, under every
@@ -365,6 +349,8 @@ def _reset_words_of_length(dfa: Dfa, length: int) -> list[tuple[int, ...]]:
     fields), and _disjoint sets that field's guard bit.
     """
     t = dfa.t
+    if length == 0:
+        return [()] if t == 1 else []
     tables = _byte_tables(_image_masks(dfa))
     full = (1 << t) - 1
     stride = _field_bits(t)
@@ -399,7 +385,9 @@ def verify_c1_c2_c3(composed: ComposedAutomaton,
 
     C1: no reset word of length <= z(t).  C2: every reset word of length
     exactly z(t)+1 has the selector/body/kappa/omega shape with a resetting
-    body.  C3: every assembled word of that shape resets A'.
+    body.  C3: every assembled word of that shape resets A'.  C2's words
+    and C3's bodies (the reset words of length d_i of each item) are both
+    enumerated by prefix image.
     """
     t, m, z = composed.t, composed.m, composed.z
     if t > VERIFY_STATE_CAP or m > VERIFY_ITEM_CAP:
@@ -419,13 +407,9 @@ def verify_c1_c2_c3(composed: ComposedAutomaton,
     full = composed.dfa.full_set()
     c3 = True
     assembled = 0
-    for i in range(1, m + 1):
-        item = batch.items[i - 1]
-        for body in product(range(item.dfa.alphabet_size), repeat=item.d):
-            image = apply_word(item.dfa, item.dfa.full_set(), body)
-            if len(image) != 1:
-                continue
-            (s,) = image
+    for i, item in enumerate(batch.items, 1):
+        for body in _reset_words_of_length(item.dfa, item.d):
+            (s,) = apply_word(item.dfa, item.dfa.full_set(), body)
             word = ((composed.alpha(i),)
                     + tuple(composed.x_letter(i, j) if j else composed.kappa
                             for j in body)

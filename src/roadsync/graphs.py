@@ -259,34 +259,25 @@ def write_graph(g: Multigraph) -> str:
 
 
 def write_graph_with_colors(g: Multigraph, c: Coloring) -> str:
-    """Graph format followed by a parallel per-slot letter table."""
+    """Graph format followed by a parallel per-slot letter table, each
+    letter as word_to_str renders it: a..z when there are at most 26, else
+    integers."""
     d = g.out_degree
     if d is None:
         raise InvalidInputError("graph text format needs uniform out-degree")
-    names = _letter_names(d)
+    names = [word_to_str((letter,), d) for letter in range(d)]
     lines = ["colors"]
     for row in c.slot_letters:
         lines.append(" ".join([names[letter] for letter in row]))
     return write_graph(g) + "\n".join(lines) + "\n"
 
 
-def _letter_names(d: int) -> list[str]:
-    """Each letter below d as word_to_str renders it: a..z when there are at
-    most 26, else integers."""
-    return [word_to_str((letter,), d) for letter in range(d)]
-
-
-def to_dot(g: Multigraph, coloring: Optional[Coloring] = None) -> str:
-    """DOT export: one edge per slot, labeled with its letter when colored."""
+def to_dot(g: Multigraph) -> str:
+    """DOT export: one unlabelled edge per slot."""
     out = ["digraph g {"]
     for v in range(g.t):
         out.append(f'  n{v} [label="{v}"];')
     for v, targets in enumerate(g.out_edges):
-        if coloring is None:
-            out.extend(f"  n{v} -> n{w};" for w in targets)
-        else:
-            names = _letter_names(len(targets))
-            out.extend(f'  n{v} -> n{w} [label="{names[letter]}"];'
-                       for w, letter in zip(targets, coloring.slot_letters[v]))
+        out.extend(f"  n{v} -> n{w};" for w in targets)
     out.append("}")
     return "\n".join(out) + "\n"

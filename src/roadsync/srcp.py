@@ -164,7 +164,9 @@ def srcp_oracle(g: Multigraph, k: int,
     this is the oracle the polynomial paths are validated against.  The
     bit-sliced sweep (out-degree 2, k <= 8) still tests every coloring; it is
     refused past SWEEP_WORK_CAP colorings times words, the one-by-one
-    enumeration past ORACLE_ENUMERATION_CAP colorings.
+    enumeration past ORACLE_ENUMERATION_CAP colorings.  No command sets
+    fast=False; perfbench/make_pool.py does, to confirm its pool's answers
+    by the enumeration.
     """
     if k < 0:
         raise InvalidInputError("k must be >= 0")

@@ -25,6 +25,10 @@ from .errors import InvalidInputError, SizeLimitError
 # bytes; the search builds two (forward, then backward), about 270 MiB RSS
 # at the cap (t = 4,095 states over two letters).
 RESET_TABLE_BYTE_CAP = 2 ** 27
+# is_synchronizing builds one predecessor list per state pair, t * t of
+# them, over all letters; it refuses past this many t * t * letters, which
+# admits t = 1,448 at two letters (about 235 MiB RSS).
+PAIR_TEST_CAP = 2 ** 22
 
 
 def pin_bound(t: int) -> int:
@@ -39,10 +43,16 @@ def is_synchronizing(a: Dfa) -> bool:
 
     Runs backward closure from the diagonal in the pair automaton; polynomial
     in t and alphabet size.
+
+    Raises SizeLimitError, before any list is built, when t * t *
+    alphabet_size passes PAIR_TEST_CAP.
     """
     t = a.t
     if t == 1:
         return True
+    if t * t * a.alphabet_size > PAIR_TEST_CAP:
+        raise SizeLimitError(f"pair automaton of {t} x {t} states x {a.alphabet_size} "
+                             f"letters above cap {PAIR_TEST_CAP}")
 
     def pair_id(p: int, q: int) -> int:
         if p > q:

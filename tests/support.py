@@ -20,9 +20,10 @@ from roadsync import cli
 from roadsync.automata import Dfa, _header, _ints, apply_word
 from roadsync.compose import pattern_functions, pattern_subset, pattern_width
 from roadsync.errors import InvalidInputError
-from roadsync.graphs import (Coloring, Multigraph, coloring_from_index,
+from roadsync.graphs import (Coloring, Multigraph, apply_coloring,
+                             coloring_from_index, enumerate_colorings,
                              strongly_connected_components)
-from roadsync.syncsolve import pin_bound
+from roadsync.syncsolve import pin_bound, shortest_reset_word
 
 
 def random_dfa(rng: random.Random, t: int, k: int) -> Dfa:
@@ -401,6 +402,17 @@ def oracle_first_indices(g: Multigraph, words) -> dict:
 def oracle_word_memberships(g: Multigraph, words) -> dict:
     """For each word, does SOME coloring synchronize by it?"""
     return {w: i is not None for w, i in oracle_first_indices(g, words).items()}
+
+
+def enumeration_srcp_oracle(g: Multigraph, k: int):
+    """srcp_oracle one coloring at a time, with no cap: the first coloring in
+    enumeration order with a reset word of length <= k, and its shortest
+    reset word, or None.  The reference for the bit-sliced sweep."""
+    for coloring in enumerate_colorings(g):
+        word = shortest_reset_word(apply_coloring(g, coloring), limit=k)
+        if word is not None:
+            return coloring, word
+    return None
 
 
 def in_class_oracle(g: Multigraph, w) -> Optional[Coloring]:

@@ -22,10 +22,11 @@ from roadsync.graphs import (
 from roadsync.compose import write_batch
 from roadsync import satreduce
 from roadsync.satreduce import Cnf3, write_dimacs
+from roadsync.syncsolve import pin_bound
 from roadsync.automata import Dfa
-from roadsync.srcp import srcp_oracle
 
-from support import random_multigraph, reference_parse, reference_parser
+from support import (enumeration_srcp_oracle, random_multigraph, reference_parse,
+                     reference_parser)
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,7 +114,7 @@ def test_srcp_k3_at_out_degree_3(tmp_path, capsys):
         if not is_admissible(g):
             continue
         path.write_text(write_graph(g))
-        expected = srcp_oracle(g, 3, fast=False) is not None
+        expected = enumeration_srcp_oracle(g, 3) is not None
         code, out, _ = run(capsys, "srcp", "k3", "--in", str(path))
         assert code == 0 and out == ("YES\n" if expected else "NO\n"), g.out_edges
         answers.add(expected)
@@ -200,7 +201,7 @@ def test_srcp_decide_rejects_inadmissible(tmp_path, capsys):
     # A periodic 2-cycle, and two sink loops: aperiodic with uniform
     # out-degree, but no coloring synchronizes it, and k = 3 lies above
     # pin_bound(2) = 1.
-    assert srcp_oracle(make_graph([(0, 0), (1, 1)]), 5, fast=False) is None
+    assert enumeration_srcp_oracle(make_graph([(0, 0), (1, 1)]), 5) is None
     path = tmp_path / "bad.txt"
     for rows in ([(1, 1), (0, 0)], [(0, 0), (1, 1)]):
         path.write_text(write_graph(make_graph(rows)))
@@ -289,7 +290,8 @@ def test_srcpw_decide_at_out_degree_3(tmp_path, capsys):
 
 
 def test_gen_compose_pipeline(tmp_path, capsys):
-    raw = [(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3)]
+    # A permutation automaton, and one that resets by aa within its budget.
+    raw = [(Dfa(3, 2, ((1, 0), (2, 1), (0, 2))), 3), (Dfa(3, 2, ((1, 1), (2, 0), (2, 2))), 3)]
     batch_path = tmp_path / "batch.txt"
     out_path = tmp_path / "dfa.txt"
     names_path = tmp_path / "names.json"
@@ -305,7 +307,9 @@ def test_gen_compose_pipeline(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["answer"] is True
-    assert payload["report"]["c1_no_short_reset"] is True
+    assert list(payload["report"].items()) == [
+        ("c1_no_short_reset", True), ("c2_all_shaped", True),
+        ("c3_assembled_words_reset", True), ("reset_word_count", 6), ("assembled_count", 6)]
 
 
 def _one_item_batch(t):
@@ -375,7 +379,9 @@ def test_sat_reduce_pipeline(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["answer"] is True
-    assert payload["report"]["equivalent"] is True
+    assert list(payload["report"].items()) == [
+        ("satisfiable", True), ("srcp_yes", True), ("equivalent", True), ("size_ok", True),
+        ("degree_ok", True), ("strongly_connected", True), ("witness_checked", True)]
 
 
 def test_verify_sat_reduce_size_limit(tmp_path, capsys):
@@ -405,6 +411,26 @@ def test_sat_reduce_refuses_large_header_up_front(tmp_path, capsys):
             assert err.startswith("size limit:") and "reduction states" in err
         assert not out_path.exists()
     assert satreduce.REDUCTION_STATE_CAP == 5 * 124999 + 3 * 124999 + 8
+
+
+def test_sync_check_refuses_past_the_pair_test_cap(tmp_path, capsys):
+    # 1,449 states over two letters pass syncsolve.PAIR_TEST_CAP; the file
+    # is refused before any pair list is built, and so is a batch whose item
+    # has a budget at the pin bound, which preprocessing would test.
+    a = cerny_automaton(1449)
+    path = tmp_path / "cerny.txt"
+    path.write_text(write_dfa(a))
+    batch = tmp_path / "batch.txt"
+    batch.write_text(write_batch([(a, pin_bound(a.t))], a.t))
+    for argv in (["sync", "check", "--in", str(path)],
+                 ["gen", "compose", "--batch", str(batch)],
+                 ["verify", "compose", "--batch", str(batch)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert (code, out) == (2, "")
+        assert err == ("size limit: pair automaton of 1449 x 1449 states x 2 letters "
+                       "above cap 4194304\n")
 
 
 def test_export_dot(tmp_path, capsys):

@@ -12,11 +12,9 @@ from roadsync.automata import Dfa, apply_word, make_dfa
 from roadsync.compose import (
     BatchItem,
     CompositionBatch,
+    PreprocessResult,
     add_identity_letter,
-    big_m_branch,
     compose,
-    compose_or_decide,
-    decide_early,
     names_json,
     parse_batch,
     pattern_functions,
@@ -29,7 +27,7 @@ from roadsync.compose import (
     _word_matches_form,
 )
 from roadsync.errors import InvalidInputError, SizeLimitError
-from roadsync.syncsolve import pin_bound, shortest_reset_word, syn_decide
+from roadsync.syncsolve import is_synchronizing, pin_bound, shortest_reset_word, syn_decide
 
 from support import all_reset_words_upto, per_letter_compose_tables, random_dfa
 
@@ -104,35 +102,31 @@ def test_preprocess_rejects_mismatched_t():
         preprocess([(make_dfa([(0, 0)]), 1)], 3)
 
 
-def test_big_m_branch():
-    t = 2
-    yes = make_dfa([(1, 1), (1, 0)])
-    no = make_dfa([(1, 0), (0, 1)])
-    items = tuple(BatchItem(add_identity_letter(a), 0)
-                  for a in (no, no, no, yes))
-    batch = CompositionBatch(t, items)
-    assert batch.m >= 2 ** t
-    assert big_m_branch(batch) is (syn_decide(yes, 0) or False)
-    all_no = CompositionBatch(t, tuple(BatchItem(add_identity_letter(no), 0)
-                                       for _ in range(4)))
-    assert big_m_branch(all_no) is False
-    small = CompositionBatch(t, items[:2])
-    assert big_m_branch(small) is None
+def test_preprocess_decides_2_to_the_t_items_one_by_one():
+    # 2^t items left after preprocessing are decided one by one: with one
+    # YES the answer is True, with none False.  2^t - 1 items come back as
+    # the batch to compose, kappa added.
+    t = 3
+    yes = make_dfa([(0, 1), (0, 2), (0, 0)])
+    no = make_dfa([(1, 0), (2, 1), (0, 2)])
+    assert syn_decide(yes, 1) and not is_synchronizing(no)
+    assert preprocess([(no, 2)] * 7 + [(yes, 1)], t) == PreprocessResult(True, None)
+    assert preprocess([(no, 2)] * 8, t) == PreprocessResult(False, None)
+    raw = [(no, 2)] * 6 + [(yes, 1)]
+    small = preprocess(raw, t)
+    assert small.answer is None
+    assert small.batch.items == tuple(BatchItem(add_identity_letter(a), d) for a, d in raw)
 
 
-def test_decide_early_answers_or_returns_the_batch():
-    # Preprocessing decides a large budget, the big-m branch m >= 2^t items;
-    # anything else comes back as the batch compose_or_decide composes.
+def test_preprocess_counts_items_after_the_large_budgets():
+    # A large budget is decided by the synchronizability test, and a NO
+    # drops the item before the remaining items are counted against 2^t.
     t, z = 3, pin_bound(3)
     yes = make_dfa([(0,), (0,), (0,)])
     no = make_dfa([(1,), (2,), (0,)])
-    assert decide_early([(yes, z)], t) == preprocess([(yes, z)], t)
-    for items, answer in (([(no, 1)] * 7 + [(yes, 1)], True), ([(no, 1)] * 8, False)):
-        pre = decide_early(items, t)
-        assert (pre.answer, pre.batch) == (answer, None)
-    small = decide_early([(no, 1), (yes, 1)], t)
-    assert small == preprocess([(no, 1), (yes, 1)], t)
-    assert small.answer is None and small.batch.m == 2
+    assert preprocess([(no, 1)] * 8 + [(yes, z)], t) == PreprocessResult(True, None)
+    assert preprocess([(no, z)] * 8 + [(yes, 1)], t).batch.m == 1
+    assert preprocess([(no, z)] * 8, t) == PreprocessResult(False, None)
 
 
 def test_compose_size_identity_grid():
@@ -226,11 +220,12 @@ def test_composition_equivalence_random():
         m = rng.randint(1, 2)
         raw = _random_raw(rng, 3, m)
         expected = any(syn_decide(a, d) for a, d in raw)
-        result = compose_or_decide(raw, 3)
-        if isinstance(result, bool):
-            assert result == expected
+        pre = preprocess(raw, 3)
+        if pre.batch is None:
+            assert pre.answer == expected
         else:
-            assert syn_decide(result.dfa, result.d_prime) == expected
+            composed = compose(pre.batch)
+            assert syn_decide(composed.dfa, composed.d_prime) == expected
 
 
 def test_verify_c1_c2_c3_yes_and_no_batches():
@@ -305,7 +300,7 @@ def test_c2_walk_words_match_enumeration_at_any_state_count():
     # The walk reads the images under the last letter as packed fields;
     # state counts around the byte boundaries move each field's spare bit.
     rng = random.Random(31)
-    cases = [(random_dfa(rng, t, rng.randint(1, 3)), (1, 2, 3))
+    cases = [(random_dfa(rng, t, rng.randint(1, 3)), (0, 1, 2, 3))
              for t in (1, 2, 3, 7, 8, 9, 15, 16, 17) for _ in range(8)]
     # Longer words, whose prefixes share images and suffix lists: random
     # automata, a constant letter (long lists), permutations (none), t = 1.
@@ -313,7 +308,7 @@ def test_c2_walk_words_match_enumeration_at_any_state_count():
               for _ in range(30)]
     cases += [(_constant_letter_dfa(rng, t), (3, 6)) for t in (2, 5, 9)]
     cases += [(_permutation_dfa(rng, t, k), (4, 6)) for t in (2, 4, 8) for k in (1, 3)]
-    cases += [(Dfa(1, k, ((0,) * k,)), (2, 5)) for k in (1, 2, 3)]
+    cases += [(Dfa(1, k, ((0,) * k,)), (0, 2, 5)) for k in (1, 2, 3)]
     found = 0
     for dfa, lengths in cases:
         for length in lengths:
@@ -321,6 +316,22 @@ def test_c2_walk_words_match_enumeration_at_any_state_count():
             assert words == _reset_words_of_length(dfa, length), (dfa.delta, length)
             found += len(words)
     assert found > 0
+
+
+def test_c3_assembles_a_word_per_resetting_body():
+    # C3 assembles one word per body of length d_i that resets item i: the
+    # bodies found by plain enumeration, budgets 0 and 1 included.
+    rng = random.Random(37)
+    counts = []
+    for _ in range(12):
+        raw = _random_raw(rng, 3, rng.randint(1, 2), max_d=3)
+        batch = preprocess(raw, 3).batch
+        report = verify_c1_c2_c3(compose(batch), batch)
+        assert report.c3_assembled_words_reset
+        expected = sum(len(_reset_words_of_length(item.dfa, item.d)) for item in batch.items)
+        assert report.assembled_count == expected
+        counts.append(expected)
+    assert 0 in counts and max(counts) > 0
 
 
 def test_c2_walk_flags_a_misshaped_reset_word():

@@ -1,5 +1,6 @@
-"""The benchmark tooling in scripts/, run as scripts: every performance claim
-rests on the A/B script and the output digest."""
+"""The tools in scripts/, run as scripts: every performance claim rests on
+the A/B script and the output digest, and the composition demo shows the
+compose API at work."""
 
 import re
 import subprocess
@@ -43,3 +44,15 @@ def test_output_digest_is_repeatable():
         assert proc.returncode == 0, proc.stderr
         assert re.fullmatch(r"reset-compose 1 [0-9a-f]{64}\n", proc.stdout)
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_compose_demo_prints_the_composition_example():
+    proc = run_script("compose_demo.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "composed automaton: 93 states, 41 letters, d' = 11 (z(4) = 10)",
+        "guard cells active after alpha_6: "
+        "[(1, 0, 'F'), (1, 1, 'T'), (1, 2, 'T'), (1, 3, 'F')]",
+        "item 1: body bccbb resets it at state 0; assembled word of length 11 "
+        "drives A' to ['D']",
+    ]

@@ -27,7 +27,7 @@ from roadsync.srcp import (
 )
 from roadsync.syncsolve import pin_bound, shortest_reset_word, syn_decide
 
-from support import passwise_kernel_graph, random_multigraph
+from support import enumeration_srcp_oracle, passwise_kernel_graph, random_multigraph
 
 
 def admissible_random(rng, t, d):
@@ -166,24 +166,23 @@ def test_fast_oracle_matches_plain_enumeration():
         for g in (ring, random_multigraph(rng, t, 2), random_multigraph(rng, t, 2)):
             for k in range(7):
                 fast = srcp_oracle(g, k)
-                assert fast == srcp_oracle(g, k, fast=False), (g.out_edges, k)
+                assert fast == enumeration_srcp_oracle(g, k), (g.out_edges, k)
                 answers.append(fast)
     assert None in answers
     assert any(a is not None for a in answers)
 
 
 def test_oracle_caps_one_by_one_enumeration():
-    # 2^20 colorings: within the sweep's cap at k = 4, past the one-by-one cap.
+    # 2^20 colorings: within the sweep's cap at k = 4, past the one-by-one
+    # cap at k = 9, where the sweep does not apply.
     g = random_multigraph(random.Random(4), 20, 2)
     assert srcp.ORACLE_ENUMERATION_CAP < 1 << 20
     assert (1 << 19) * (1 << 4) <= srcp.SWEEP_WORK_CAP
-    with pytest.raises(SizeLimitError):
-        srcp_oracle(g, 4, fast=False)
-    # 2^23 colorings x 2^8 words: past the sweep's cap.
-    with pytest.raises(SizeLimitError):
-        srcp_oracle(random_multigraph(random.Random(4), 24, 2), 8)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="colorings tried one by one"):
         srcp_oracle(g, srcp._SWEEP_WORD_DEPTH_CAP + 1)
+    # 2^23 colorings x 2^8 words: past the sweep's cap.
+    with pytest.raises(SizeLimitError, match="coloring-word pairs swept"):
+        srcp_oracle(random_multigraph(random.Random(4), 24, 2), 8)
     with pytest.raises(SizeLimitError):
         srcp_oracle(random_multigraph(random.Random(4), 10, 3), 4)
 
@@ -206,7 +205,7 @@ def test_pin_bound_shortcut_needs_one_aperiodic_sink():
     # the shortcut's yes at k >= pin_bound(t) would be wrong.
     for rows in ([(0, 0), (1, 1)], [(1, 1), (0, 0), (2, 0)]):
         g = make_graph(rows)
-        assert srcp_oracle(g, pin_bound(g.t), fast=False) is None
+        assert enumeration_srcp_oracle(g, pin_bound(g.t)) is None
         for k in (1, 3, pin_bound(g.t)):
             with pytest.raises(InvalidInputError):
                 srcp_decide(g, k)
@@ -221,7 +220,7 @@ def test_pin_bound_shortcut_needs_one_aperiodic_sink():
             continue
         seen += 1
         assert srcp_decide(g, pin_bound(g.t)) is True
-        assert srcp_oracle(g, pin_bound(g.t), fast=False) is not None
+        assert enumeration_srcp_oracle(g, pin_bound(g.t)) is not None
 
 
 def test_srcp_decide_monotone():
@@ -358,7 +357,7 @@ def test_pattern_decision_matches_oracle():
         slow = True
         for k in reversed(range({2: 7, 3: 5}.get(d, 4))):
             # A NO at k is a NO at every smaller k.
-            slow = slow and srcp_oracle(g, k, fast=False) is not None
+            slow = slow and enumeration_srcp_oracle(g, k) is not None
             assert srcp_decide(g, k) == slow, (g.out_edges, k, slow)
             answers.add((d, slow))
     assert {(2, False), (2, True), (3, False), (3, True)} <= answers
@@ -383,7 +382,7 @@ def test_pattern_decision_caps(monkeypatch):
     # k >= 4 is decided like k <= 3, with the oracle's answer.
     g = random_multigraph(random.Random(0), 6, 2)
     for k in (3, 4, 5):
-        assert srcp_exists_by_patterns(g, k) == (srcp_oracle(g, k, fast=False) is not None)
+        assert srcp_exists_by_patterns(g, k) == (enumeration_srcp_oracle(g, k) is not None)
     assert srcp_exists_by_patterns(make_graph([(0, 0)]), 4) is True
     # Words x targets past SEARCH_NODE_BUDGET are refused before any search;
     # at the budget the words are searched.
@@ -466,14 +465,14 @@ def test_srcp_decide_falls_back_to_the_oracle(monkeypatch):
             low.setattr(where, "SEARCH_NODE_BUDGET", budget)
             for g in graphs:
                 for k in (2, 4):
-                    slow = oracle(g, k, fast=False) is not None
+                    slow = enumeration_srcp_oracle(g, k) is not None
                     assert srcp_decide(g, k) == slow, (g.out_edges, k)
         assert len(calls) in fallbacks
     # k = 40 has 2^39 pattern words: refused at once, then the 2^10
     # colorings are enumerated one by one.
     calls.clear()
     g = _ring(10)
-    assert srcp_decide(g, 40) == (oracle(g, 40, fast=False) is not None)
+    assert srcp_decide(g, 40) == (enumeration_srcp_oracle(g, 40) is not None)
     assert calls == [40]
 
 

@@ -10,6 +10,7 @@ from roadsync.compose import compose, preprocess
 from roadsync import syncsolve
 from roadsync.errors import InvalidInputError, SizeLimitError
 from roadsync.syncsolve import (
+    PAIR_TEST_CAP,
     RESET_TABLE_BYTE_CAP,
     _field_bits,
     is_synchronizing,
@@ -228,3 +229,35 @@ def test_reset_table_cap_is_in_table_bytes(monkeypatch):
     monkeypatch.setattr(syncsolve, "RESET_TABLE_BYTE_CAP", table_bytes(9, 2) - 1)
     with pytest.raises(SizeLimitError):
         shortest_reset_word(a)
+
+
+def test_pair_test_cap_refuses_before_building():
+    # Past the cap not one of the t * t predecessor lists is built, neither
+    # by is_synchronizing nor by syn_decide at a budget past the pin bound.
+    a = cerny_automaton(10 ** 5)
+    for decide in (is_synchronizing, lambda a: syn_decide(a, pin_bound(a.t))):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SizeLimitError, match="pair automaton"):
+                decide(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.05
+        assert peak < 64 * 1024
+
+
+def test_pair_test_cap_is_in_pairs_times_letters(monkeypatch):
+    # 1,448 states over two letters are the most the cap admits, 215 over 90.
+    assert 1448 * 1448 * 2 <= PAIR_TEST_CAP < 1449 * 1449 * 2
+    assert 215 * 215 * 90 <= PAIR_TEST_CAP < 216 * 216 * 90
+    a = cerny_automaton(9)
+    monkeypatch.setattr(syncsolve, "PAIR_TEST_CAP", 9 * 9 * 2)
+    assert is_synchronizing(a) is True
+    monkeypatch.setattr(syncsolve, "PAIR_TEST_CAP", 9 * 9 * 2 - 1)
+    with pytest.raises(SizeLimitError):
+        is_synchronizing(a)
+    # One state needs no pair.
+    monkeypatch.setattr(syncsolve, "PAIR_TEST_CAP", 0)
+    assert is_synchronizing(make_dfa([(0, 0)])) is True
