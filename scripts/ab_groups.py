@@ -18,7 +18,10 @@ A query's latency is the median over its reps, timed around
 ``roadsync.cli.main`` as perfbench/run.py times it.  The script prints, per
 query group, both sides' median latency and their ratio (change / parent),
 then the p50 and tail ranks of the per-query latencies, defined as
-perfbench/run.py defines query_p50_ms and query_tail_ms, and the pass: the
+perfbench/run.py defines query_p50_ms and query_tail_ms, each followed by
+the group of the query at that rank on each side (``at PARENT | CHANGE``;
+the p50 of an even count names both middle queries' groups, joined by
+``+``), so a claim can name the group that sets the rank, and the pass: the
 sum of the per-query medians.  perfbench/run.py repeats the pass for its
 whole run, so the pass ratio predicts the ratio of passes run (its inverse),
 and with it the part of peak_rss_mb that grows with the passes kept.  The
@@ -138,8 +141,9 @@ def main(argv=None) -> int:
           "per side, interleaved; identical output on every run")
     print(f"{'group':<12} {'queries':>7} {'parent ms':>10} {'change ms':>10} {'ratio':>6}")
 
-    def row(label: str, count, parent: float, change: float) -> None:
-        print(f"{label:<12} {count:>7} {parent:>10.3f} {change:>10.3f} {change / parent:>6.2f}")
+    def row(label: str, count, parent: float, change: float, at: str = "") -> None:
+        print(f"{label:<12} {count:>7} {parent:>10.3f} {change:>10.3f} {change / parent:>6.2f}"
+              + at)
 
     def group_median(side: str, idx: list[int]) -> float:
         return statistics.median(per_query[side][i] for i in idx)
@@ -148,9 +152,17 @@ def main(argv=None) -> int:
         row(group, len(idx), group_median("parent", idx), group_median("change", idx))
     n = len(queries)
     rank = tail_index(n)
-    ranked = {side: sorted(per_query[side]) for side in SIDES}
-    row("p50", "", *(statistics.median(per_query[side]) for side in SIDES))
-    row(f"tail #{rank + 1}", "", *(ranked[side][rank] for side in SIDES))
+    ranked = {side: sorted(range(n), key=per_query[side].__getitem__) for side in SIDES}
+
+    def at(ranks: list[int]) -> str:
+        """The groups of the queries at these ranks, per side."""
+        return "  at " + " | ".join("+".join(dict.fromkeys(
+            queries[ranked[side][r]].group for r in ranks)) for side in SIDES)
+
+    row("p50", "", *(statistics.median(per_query[side]) for side in SIDES),
+        at(sorted({(n - 1) // 2, n // 2})))
+    row(f"tail #{rank + 1}", "", *(per_query[side][ranked[side][rank]] for side in SIDES),
+        at([rank]))
     passes = {side: sum(per_query[side]) for side in SIDES}
     row("pass", n, *passes.values())
     size = kept_bytes(outputs)

@@ -59,6 +59,15 @@ def _bad_target(rows: Sequence[Sequence[int]], t: int) -> Optional[int]:
     return None
 
 
+def _unchecked_dfa(t: int, alphabet_size: int, delta: tuple[tuple[int, ...], ...]) -> Dfa:
+    """A Dfa of these fields, set without __post_init__'s check: only for
+    tables known to pass it, built from checked ones, in closed form, or
+    checked in bulk by the caller."""
+    a = object.__new__(Dfa)
+    a.__dict__.update(t=t, alphabet_size=alphabet_size, delta=delta)
+    return a
+
+
 def make_dfa(rows: Sequence[Sequence[int]]) -> Dfa:
     rows = tuple(tuple(r) for r in rows)
     if not rows:
@@ -99,10 +108,8 @@ def cerny_automaton(n: int) -> Dfa:
         raise InvalidInputError("cerny_automaton needs n >= 2")
     if n > CERNY_STATE_CAP:
         raise SizeLimitError(f"cerny_automaton capped at n={CERNY_STATE_CAP}")
-    rows = []
-    for i in range(n):
-        rows.append((1 if i == 0 else i, (i + 1) % n))
-    return Dfa(n, 2, tuple(rows))
+    rows = tuple((1 if i == 0 else i, (i + 1) % n) for i in range(n))
+    return _unchecked_dfa(n, 2, rows)
 
 
 def word_to_str(w: Sequence[int], alphabet_size: int) -> str:

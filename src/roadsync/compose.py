@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .automata import Dfa, _content_lines, _header, _table, apply_word
+from .automata import Dfa, _content_lines, _header, _ints, _table, _unchecked_dfa, apply_word
 from .errors import InvalidInputError, SizeLimitError
 from .syncsolve import (_byte_tables, _disjoint, _field_bits, _image_masks,
                         _pack, _step, is_synchronizing, pin_bound,
@@ -72,9 +72,11 @@ class PreprocessResult:
 
 
 def add_identity_letter(a: Dfa) -> Dfa:
-    """Prefix a fresh identity letter (kappa) as letter 0."""
+    """Prefix a fresh identity letter (kappa) as letter 0.  a's table was
+    checked and the new column holds each row's own state, so the new
+    table is not checked again."""
     rows = tuple((s,) + row for s, row in enumerate(a.delta))
-    return Dfa(a.t, a.alphabet_size + 1, rows)
+    return _unchecked_dfa(a.t, a.alphabet_size + 1, rows)
 
 
 def preprocess(raw: Sequence[tuple[Dfa, int]], t: int) -> PreprocessResult:
@@ -275,8 +277,9 @@ def compose(batch: CompositionBatch) -> ComposedAutomaton:
         columns.append([rows[1][2 * pi[flag][col] + flag] for col, flag in cells] * (z + 1))
     columns += [list(chain.from_iterable([row0] * z + [(dead,) * width]))] * t
     delta += zip(*columns)
+    # Each target is a base state, D or a cell of `rows`; each row is full.
     return ComposedAutomaton(
-        dfa=Dfa(len(delta), n_letters, tuple(delta)),
+        dfa=_unchecked_dfa(len(delta), n_letters, tuple(delta)),
         t=t,
         m=m,
         d_prime=z + 1,
@@ -421,13 +424,42 @@ def verify_c1_c2_c3(composed: ComposedAutomaton,
     return C123Report(c1, c2, c3, len(reset_words), assembled)
 
 
+def _items_at_once(lines: Sequence[str], m: int, t: int) -> list[tuple[Dfa, int]]:
+    """Every item of a batch, its headers and rows checked and parsed
+    together as _table does for one table, and all targets checked at once
+    by their least and greatest, so Dfa does not check the tables again.
+    Raises InvalidInputError, not always naming the first error, when any
+    line is malformed or any target out of range."""
+    split = list(map(str.split, lines[1:]))
+    heads = split[::1 + t]
+    del split[::1 + t]
+    values = _ints([x for head in heads for x in head[1:]]
+                   + list(chain.from_iterable(split)), "batch")
+    ks, cells = values[1:2 * m:2], values[2 * m:]
+    if (len(lines) != 1 + m * (1 + t)
+            or any(len(head) != 3 or head[0] != "item" for head in heads)
+            or list(map(len, split)) != [k for k in ks for _ in range(t)]
+            or min(cells, default=0) < 0 or max(cells, default=0) >= t):
+        raise InvalidInputError("malformed batch")
+    cells = iter(cells)
+    return [(_unchecked_dfa(t, k, tuple(zip(*[islice(cells, t * k)] * k))), d)
+            for d, k in zip(values[:2 * m:2], ks)]
+
+
 def parse_batch(text: str) -> tuple[list[tuple[Dfa, int]], int]:
     """Parse the batch format: `batch <m> <t>`, then per item a header
-    `item <d_i> <alphabet_size>` followed by t transition rows."""
+    `item <d_i> <alphabet_size>` followed by t transition rows.
+
+    The items are parsed in one pass; only when that fails are they read
+    again one by one, to name the first error."""
     lines = _content_lines(text)
     m, t = _header(lines, "batch <m> <t>")
     if m < 0 or t < 1:
         raise InvalidInputError("batch needs m >= 0 items of t >= 1 states")
+    try:
+        return _items_at_once(lines, m, t), t
+    except InvalidInputError:
+        pass
     raw: list[tuple[Dfa, int]] = []
     pos = 1
     for _ in range(m):

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import chain, permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .automata import Dfa, _bad_target, _content_lines, _table, word_to_str
+from .automata import Dfa, _bad_target, _content_lines, _table, _unchecked_dfa, word_to_str
 from .errors import InvalidInputError
 
 
@@ -201,7 +201,10 @@ def apply_coloring(g: Multigraph, c: Coloring) -> Dfa:
         for slot, letter in enumerate(assignment):
             row[letter] = g.out_edges[v][slot]
         rows.append(tuple(row))
-    return Dfa(g.t, d, tuple(rows))
+    if not d:
+        raise InvalidInputError("automaton needs t >= 1 and alphabet_size >= 1")
+    # Multigraph checked every target, and each row permutes v's slots.
+    return _unchecked_dfa(g.t, d, tuple(rows))
 
 
 def coloring_count(g: Multigraph) -> int:

@@ -25,9 +25,9 @@ from .errors import InvalidInputError, SizeLimitError
 # bytes; the search builds two (forward, then backward), about 270 MiB RSS
 # at the cap (t = 4,095 states over two letters).
 RESET_TABLE_BYTE_CAP = 2 ** 27
-# is_synchronizing builds one predecessor list per state pair, t * t of
-# them, over all letters; it refuses past this many t * t * letters, which
-# admits t = 1,448 at two letters (about 235 MiB RSS).
+# is_synchronizing builds one predecessor list per pair of distinct states,
+# over all letters; it refuses past this many t * t * letters, which admits
+# t = 1,448 at two letters (about 155 MiB RSS).
 PAIR_TEST_CAP = 2 ** 22
 
 
@@ -54,30 +54,27 @@ def is_synchronizing(a: Dfa) -> bool:
         raise SizeLimitError(f"pair automaton of {t} x {t} states x {a.alphabet_size} "
                              f"letters above cap {PAIR_TEST_CAP}")
 
-    def pair_id(p: int, q: int) -> int:
-        if p > q:
-            p, q = q, p
-        return p * t + q
-
-    preds: list[list[int]] = [[] for _ in range(t * t)]
-    for p in range(t):
-        for q in range(p + 1, t):
-            src = pair_id(p, q)
-            for x in range(a.alphabet_size):
-                preds[pair_id(a.delta[p][x], a.delta[q][x])].append(src)
-
-    reached = [False] * (t * t)
-    queue = deque()
-    for r in range(t):
-        reached[pair_id(r, r)] = True
-        queue.append(pair_id(r, r))
+    # The pairs p < q are numbered q * (q - 1) / 2 + p, and the pairs p = q
+    # are all one node, n, from which the closure runs backward.
+    n = t * (t - 1) // 2
+    preds: list[list[int]] = [[] for _ in range(n + 1)]
+    src = 0
+    for q, row_q in enumerate(a.delta):
+        for row_p in a.delta[:q]:
+            for x, y in zip(row_p, row_q):
+                if x > y:
+                    x, y = y, x
+                preds[y * (y - 1) // 2 + x if x < y else n].append(src)
+            src += 1
+    reached = [False] * n + [True]
+    queue = deque([n])
     while queue:
         cur = queue.popleft()
         for src in preds[cur]:
             if not reached[src]:
                 reached[src] = True
                 queue.append(src)
-    return all(reached[pair_id(p, q)] for p in range(t) for q in range(p + 1, t))
+    return all(reached)
 
 
 def _field_bits(t: int) -> int:

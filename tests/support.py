@@ -102,6 +102,25 @@ def reference_table(lines: Sequence[str], usage: str,
     return x, width, rows
 
 
+def reference_parse_batch(text: str) -> tuple[list[tuple[Dfa, int]], int]:
+    """A batch read one item at a time, each row on its own, and each
+    item's Dfa built before the next item is read: the reference for
+    `compose.parse_batch`, which parses all items in one pass."""
+    lines = reference_content_lines(text)
+    m, t = _header(lines, "batch <m> <t>")
+    if m < 0 or t < 1:
+        raise InvalidInputError("batch needs m >= 0 items of t >= 1 states")
+    raw = []
+    pos = 1
+    for _ in range(m):
+        d, k, rows = reference_table(lines[pos: pos + 1 + t], "item <d> <alphabet_size>", t)
+        raw.append((Dfa(t, k, rows), d))
+        pos += 1 + t
+    if pos != len(lines):
+        raise InvalidInputError("trailing content after the last item")
+    return raw, t
+
+
 def reference_period(g: Multigraph, components: list[list[int]]) -> int:
     """The gcd of the cycle lengths inside the given strongly connected
     components, from a per-vertex level dict and a list of internal edges:

@@ -17,15 +17,17 @@ from roadsync.automata import (
     write_dfa,
 )
 from roadsync.compose import (
-    BatchItem, CompositionBatch, add_identity_letter, compose, parse_batch,
+    BatchItem, CompositionBatch, add_identity_letter, compose, parse_batch, preprocess,
+    write_batch,
 )
 from roadsync.errors import InvalidInputError
-from roadsync.graphs import parse_graph
+from roadsync.graphs import Coloring, apply_coloring, parse_graph
 from roadsync.satreduce import parse_dimacs
 from roadsync.syncsolve import pin_bound, shortest_reset_word
 
 from support import (
-    random_dfa, reference_content_lines, reference_table, reference_write_dfa,
+    random_dfa, random_multigraph, reference_content_lines, reference_parse_batch,
+    reference_table, reference_write_dfa,
 )
 
 
@@ -134,23 +136,100 @@ def _random_table_text(rng: random.Random) -> tuple:
 
 
 def test_parsers_match_the_row_by_row_reference(monkeypatch):
-    # parse_dfa, parse_graph and parse_batch read the whole body in one pass;
-    # with the row-by-row reference in its place each gives the same value,
-    # or the same exception type with the same message.
+    # parse_dfa and parse_graph read the whole body in one pass, and
+    # parse_batch all its items; each gives the value of its row-by-row
+    # reference (parse_dfa and parse_graph with the reference `_table` in
+    # place, reference_parse_batch), or the same exception type with the
+    # same message.
     rng = random.Random(24)
     broken = refused = 0
     for _ in range(400):
         parse, text, was_broken = _random_table_text(rng)
         got = _outcome(parse, text)
-        with monkeypatch.context() as patch:
-            for module in {sys.modules[p.__module__] for p in PARSERS}:
+        if parse is parse_batch:
+            want = _outcome(reference_parse_batch, text)
+        else:
+            with monkeypatch.context() as patch:
+                module = sys.modules[parse.__module__]
                 patch.setattr(module, "_content_lines", reference_content_lines)
                 patch.setattr(module, "_table", reference_table)
-            want = _outcome(parse, text)
+                want = _outcome(parse, text)
         assert got == want, text
         broken += was_broken
         refused += isinstance(want, tuple) and want[0] is InvalidInputError
     assert broken > 150 and refused > 120
+
+
+def test_parse_batch_matches_the_item_by_item_reference():
+    # Batches whose items differ in alphabet size, broken in one or two
+    # places: a bad token, a row of the wrong width, a target out of range,
+    # a malformed item header, a missing line, or an extra line or item.
+    # parse_batch names the first error exactly as the reference reads it,
+    # item by item.
+    rng = random.Random(29)
+    refused = parsed = 0
+    for _ in range(600):
+        t, m = rng.randint(1, 5), rng.randint(0, 5)
+        lines = [f"batch {m} {t}"]
+        for _ in range(m):
+            k = rng.randint(1, 4)
+            lines.append(f"item {rng.randrange(-1, 6)} {k}")
+            lines += [" ".join(str(rng.randrange(t)) for _ in range(k)) for _ in range(t)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i = rng.randrange(len(lines))
+            tokens = lines[i].split()
+            fault = rng.randrange(6)
+            if fault == 0:
+                tokens[rng.randrange(len(tokens))] = rng.choice(("x", "1_0", "\u0663", "1.0"))
+            elif fault == 1:
+                tokens.append("0")
+            elif fault == 2:
+                tokens[-1] = str(rng.choice((-1, t, t + 3)))
+            elif fault == 3:
+                tokens[0] = rng.choice(("itm", "batch", "0"))
+            elif fault == 4:
+                extra = rng.choice(("item 0 1", "0", "# comment", "item 0 1" + "\n0" * t))
+                lines.insert(rng.randint(0, len(lines)), extra)
+                continue
+            elif len(lines) > 1:
+                del lines[i]
+                continue
+            lines[i] = " ".join(tokens)
+        text = "\n".join(lines) + "\n"
+        got, want = _outcome(parse_batch, text), _outcome(reference_parse_batch, text)
+        assert got == want, text
+        refused += isinstance(want, tuple) and want[0] is InvalidInputError
+        parsed += isinstance(want, tuple) and isinstance(want[0], list)
+    assert refused > 200 and parsed > 200
+
+
+def test_tables_built_without_the_check_pass_it():
+    # parse_batch, add_identity_letter, compose, apply_coloring and
+    # cerny_automaton build their tables without Dfa's check; each table is
+    # one the check accepts.
+    rng = random.Random(29)
+    built = []
+    for _ in range(150):
+        t, m = rng.randint(1, 5), rng.randint(1, 8)
+        z = pin_bound(t)
+        raw = [(random_dfa(rng, t, rng.randint(1, 3)), rng.randrange(max(z, 1)))
+               for _ in range(m)]
+        parsed, _ = parse_batch(write_batch(raw, t))
+        assert parsed == raw
+        built += [dfa for dfa, _ in parsed]
+        built += [add_identity_letter(dfa) for dfa, _ in raw]
+        pre = preprocess(raw, t)
+        if pre.batch is not None:
+            built.append(compose(pre.batch).dfa)
+    assert len(built) > 1300
+    for _ in range(300):
+        t, d = rng.randint(1, 12), rng.randint(1, 4)
+        g = random_multigraph(rng, t, d)
+        slots = [rng.sample(range(d), d) for _ in range(t)]
+        built.append(apply_coloring(g, Coloring(tuple(map(tuple, slots)))))
+    built += [cerny_automaton(n) for n in range(2, 41)]
+    for a in built:
+        assert Dfa(a.t, a.alphabet_size, a.delta) == a
 
 
 def test_apply_word_empty_is_identity():

@@ -24,6 +24,16 @@ def test_ab_groups_prints_groups_ranks_and_pass():
     assert columns.split() == ["group", "queries", "parent", "ms", "change", "ms", "ratio"]
     *groups, p50, tail, total = [line.split() for line in lines]
     assert sum(int(row[1]) for row in groups) == n
+    # Each rank row ends with the group of the query at that rank on each
+    # side, `at PARENT | CHANGE`; the p50 of an even count may name two.
+    names = {row[0] for row in groups}
+    for rank in (p50, tail):
+        at = rank.index("at")
+        assert rank[at + 2] == "|" and len(rank) == at + 4
+        for side in (rank[at + 1], rank[at + 3]):
+            assert 1 <= len(side.split("+")) <= (2 if rank is p50 else 1)
+            assert set(side.split("+")) <= names
+        del rank[at:]
     assert p50[0] == "p50" and len(p50) == 4
     assert tail[0] == "tail" and re.fullmatch(r"#\d+", tail[1]) and len(tail) == 5
     assert total[:2] == ["pass", str(n)]

@@ -103,3 +103,29 @@ def test_every_definition_is_referenced():
     unused = [name for name in sorted(names)
               if not any(re.search(rf"(?<!def )(?<!class )\b{name}\b", text) for text in texts)]
     assert unused == []
+
+
+def test_unchecked_dfa_builds_only_tables_known_to_pass_the_check():
+    # automata._unchecked_dfa skips Dfa's check.  It builds only tables made
+    # from checked ones (a checked table plus an identity column, the guard
+    # table of checked items, a checked graph under a checked bijection), in
+    # closed form, or checked otherwise (the batch items, whose targets
+    # parse_batch checks all at once); tests/test_automata.py runs Dfa's
+    # check on each of them.  Every other table is checked by Dfa.
+    users, uses = set(), 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += sum(isinstance(node, ast.Name) and node.id == "_unchecked_dfa"
+                    for node in ast.walk(tree))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name) and node.func.id == "_unchecked_dfa"]
+                uses -= len(calls)
+                if calls:
+                    users.add(f"{path.stem}.{func.name}")
+    assert users == {"automata.cerny_automaton", "compose._items_at_once",
+                     "compose.add_identity_letter", "compose.compose",
+                     "graphs.apply_coloring"}
+    # No use of the name besides those calls, such as an alias.
+    assert uses == 0

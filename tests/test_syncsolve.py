@@ -85,6 +85,18 @@ def test_solver_cross_validation_small():
             assert len(w) <= pin_bound(a.t)
 
 
+def test_pair_test_agrees_with_the_subset_search():
+    # is_synchronizing reads only the pairs of distinct states; the subset
+    # search finds a reset word exactly when the automaton synchronizes.
+    rng = random.Random(29)
+    answers = []
+    for _ in range(400):
+        a = random_dfa(rng, rng.randint(1, 12), rng.randint(1, 3))
+        answers.append(is_synchronizing(a))
+        assert answers[-1] == (shortest_reset_word(a) is not None)
+    assert 100 < sum(answers) < 300
+
+
 def test_syn_decide_cerny_boundary():
     a = cerny_automaton(4)
     assert syn_decide(a, 8) is False
@@ -232,7 +244,7 @@ def test_reset_table_cap_is_in_table_bytes(monkeypatch):
 
 
 def test_pair_test_cap_refuses_before_building():
-    # Past the cap not one of the t * t predecessor lists is built, neither
+    # Past the cap not one of the pair predecessor lists is built, neither
     # by is_synchronizing nor by syn_decide at a budget past the pin bound.
     a = cerny_automaton(10 ** 5)
     for decide in (is_synchronizing, lambda a: syn_decide(a, pin_bound(a.t))):
